@@ -12,7 +12,7 @@
 // the snapshot ends exactly where it started and every apply is a real
 // mutation (never a rejected no-op). --json writes the measurements as one
 // JSON document; scripts/reproduce.sh archives it as BENCH_update.json
-// with --min-speedup 10, turning the incremental-vs-remine ratio into a
+// with --min-speedup 460, turning the incremental-vs-remine ratio into a
 // hard regression gate.
 #include <chrono>
 #include <cstdio>

@@ -44,7 +44,7 @@ LabelSet LeastGeneralLabels(const TermSimilarity& st, const LabelSet& a,
 }
 
 bool LabelsConform(const Ontology& ontology, const LabelSet& scheme_labels,
-                   const LabelSet& protein_terms) {
+                   std::span<const TermId> protein_terms) {
   if (scheme_labels.empty() || protein_terms.empty()) return true;
   for (TermId label : scheme_labels) {
     bool generalizes_some = false;

@@ -1,6 +1,7 @@
 #ifndef LAMO_CORE_LABEL_PROFILE_H_
 #define LAMO_CORE_LABEL_PROFILE_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,7 +54,7 @@ LabelSet LeastGeneralLabels(const TermSimilarity& st, const LabelSet& a,
 /// test). An empty scheme label set ("unknown") conforms to anything; an
 /// unannotated protein conforms to anything.
 bool LabelsConform(const Ontology& ontology, const LabelSet& scheme_labels,
-                   const LabelSet& protein_terms);
+                   std::span<const TermId> protein_terms);
 
 /// Renders "{G04, G09}" using ontology term names; "{unknown}" when empty.
 std::string LabelSetToString(const Ontology& ontology, const LabelSet& set);

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <map>
 #include <numeric>
-#include <optional>
 #include <set>
 
 #include "core/assignment.h"
@@ -104,65 +103,68 @@ LaMoFinder::LaMoFinder(const Ontology& ontology, const TermWeights& weights,
   }
 }
 
+OccurrenceSimilarity LaMoFinder::SymmetricSets(const Motif& motif) const {
+  if (motif.symmetric_sets_override.empty()) {
+    return OccurrenceSimilarity(st_, motif.pattern);
+  }
+  return OccurrenceSimilarity(st_, motif.pattern.num_vertices(),
+                              motif.symmetric_sets_override);
+}
+
+bool LaMoFinder::AlignConforming(const OccurrenceSimilarity& so,
+                                 const LabelProfile& scheme,
+                                 const MotifOccurrence& occ,
+                                 MotifOccurrence* aligned) const {
+  // Per symmetric set, find a pairing in which every scheme position's
+  // labels conform to the annotations of the protein assigned to it.
+  // Feasibility per orbit is a perfect matching on the boolean conformance
+  // matrix, found via max-sum assignment.
+  const size_t k = occ.proteins.size();
+  std::vector<uint32_t> alignment(k);
+  std::iota(alignment.begin(), alignment.end(), 0);
+  for (const auto& orbit : so.orbits()) {
+    if (orbit.size() == 1) {
+      const VertexId protein = occ.proteins[orbit[0]];
+      if (!LabelsConform(ontology_, scheme[orbit[0]],
+                         annotations_.TermsOf(protein))) {
+        return false;
+      }
+      continue;
+    }
+    std::vector<std::vector<double>> score(
+        orbit.size(), std::vector<double>(orbit.size(), 0.0));
+    for (size_t i = 0; i < orbit.size(); ++i) {
+      for (size_t j = 0; j < orbit.size(); ++j) {
+        const VertexId protein = occ.proteins[orbit[j]];
+        score[i][j] = LabelsConform(ontology_, scheme[orbit[i]],
+                                    annotations_.TermsOf(protein))
+                          ? 1.0
+                          : 0.0;
+      }
+    }
+    std::vector<int> matching;
+    const double total = MaxSumAssignment(score, &matching);
+    if (total + 0.5 < static_cast<double>(orbit.size())) return false;
+    for (size_t i = 0; i < orbit.size(); ++i) {
+      alignment[orbit[i]] = orbit[matching[i]];
+    }
+  }
+  aligned->proteins.resize(k);
+  for (size_t pos = 0; pos < k; ++pos) {
+    aligned->proteins[pos] = occ.proteins[alignment[pos]];
+  }
+  return true;
+}
+
 std::vector<MotifOccurrence> LaMoFinder::ConformingOccurrences(
     const Motif& motif, const LabelProfile& scheme) const {
   std::vector<MotifOccurrence> conforming;
-  const size_t k = motif.pattern.num_vertices();
-  std::optional<OccurrenceSimilarity> so_storage;
-  if (motif.symmetric_sets_override.empty()) {
-    so_storage.emplace(st_, motif.pattern);
-  } else {
-    so_storage.emplace(st_, k, motif.symmetric_sets_override);
-  }
-  const OccurrenceSimilarity& so = *so_storage;
+  const OccurrenceSimilarity so = SymmetricSets(motif);
+  MotifOccurrence aligned;
   for (const MotifOccurrence& occ : motif.occurrences) {
-    // Per symmetric set, find a pairing in which every scheme position's
-    // labels conform to the annotations of the protein assigned to it.
-    // Feasibility per orbit is a perfect matching on the boolean
-    // conformance matrix, found via max-sum assignment.
-    std::vector<uint32_t> alignment(k);
-    std::iota(alignment.begin(), alignment.end(), 0);
-    bool feasible = true;
-    for (const auto& orbit : so.orbits()) {
-      if (orbit.size() == 1) {
-        const VertexId protein = occ.proteins[orbit[0]];
-        if (!LabelsConform(ontology_, scheme[orbit[0]],
-                           LabelSet(annotations_.TermsOf(protein).begin(),
-                                    annotations_.TermsOf(protein).end()))) {
-          feasible = false;
-          break;
-        }
-        continue;
-      }
-      std::vector<std::vector<double>> score(
-          orbit.size(), std::vector<double>(orbit.size(), 0.0));
-      for (size_t i = 0; i < orbit.size(); ++i) {
-        for (size_t j = 0; j < orbit.size(); ++j) {
-          const VertexId protein = occ.proteins[orbit[j]];
-          const auto terms = annotations_.TermsOf(protein);
-          score[i][j] = LabelsConform(ontology_, scheme[orbit[i]],
-                                      LabelSet(terms.begin(), terms.end()))
-                            ? 1.0
-                            : 0.0;
-        }
-      }
-      std::vector<int> matching;
-      const double total = MaxSumAssignment(score, &matching);
-      if (total + 0.5 < static_cast<double>(orbit.size())) {
-        feasible = false;
-        break;
-      }
-      for (size_t i = 0; i < orbit.size(); ++i) {
-        alignment[orbit[i]] = orbit[matching[i]];
-      }
+    if (AlignConforming(so, scheme, occ, &aligned)) {
+      conforming.push_back(aligned);
     }
-    if (!feasible) continue;
-    MotifOccurrence aligned;
-    aligned.proteins.resize(k);
-    for (size_t pos = 0; pos < k; ++pos) {
-      aligned.proteins[pos] = occ.proteins[alignment[pos]];
-    }
-    conforming.push_back(std::move(aligned));
   }
   return conforming;
 }
@@ -205,13 +207,7 @@ std::vector<LabeledMotif> LaMoFinder::LabelMotif(
     clusters.push_back(std::move(c));
   }
 
-  std::optional<OccurrenceSimilarity> so_storage;
-  if (motif.symmetric_sets_override.empty()) {
-    so_storage.emplace(st_, motif.pattern);
-  } else {
-    so_storage.emplace(st_, k, motif.symmetric_sets_override);
-  }
-  const OccurrenceSimilarity& so = *so_storage;
+  const OccurrenceSimilarity so = SymmetricSets(motif);
 
   // Pairwise similarity matrix over live clusters: the O(|D|^2) stage of
   // Eq. 3. Rows are distributed over the parallel runtime; every (i, j)

@@ -6,6 +6,7 @@
 
 #include "core/label_profile.h"
 #include "core/labeled_motif.h"
+#include "core/occurrence_similarity.h"
 #include "motif/motif.h"
 #include "ontology/annotation.h"
 #include "ontology/informative.h"
@@ -79,6 +80,19 @@ class LaMoFinder {
   /// stage).
   std::vector<MotifOccurrence> ConformingOccurrences(
       const Motif& motif, const LabelProfile& scheme) const;
+
+  /// The symmetric vertex sets conformance is checked within: the
+  /// pattern's twin classes, or `motif.symmetric_sets_override` when set.
+  /// Depends only on the motif, so callers checking many occurrences of one
+  /// motif (the serve-path update engine) build it once.
+  OccurrenceSimilarity SymmetricSets(const Motif& motif) const;
+
+  /// ConformingOccurrences for one occurrence under prebuilt symmetric
+  /// sets: true iff `occ` conforms to `scheme`, with the scheme-aligned
+  /// occurrence in `*aligned`.
+  bool AlignConforming(const OccurrenceSimilarity& so,
+                       const LabelProfile& scheme, const MotifOccurrence& occ,
+                       MotifOccurrence* aligned) const;
 
   /// The memoizing term-similarity engine (shared with callers that need
   /// consistent ST values).

@@ -64,6 +64,8 @@ class Graph {
 
  private:
   friend class GraphBuilder;
+  // Live edge updates edit the CSR arrays in place (graph/mutable_index.h).
+  friend class MutableGraphIndex;
   // Snapshot serialization (serve/snapshot.cc) restores the CSR arrays
   // directly so loading skips the builder's sort/dedup pass.
   friend struct SnapshotAccess;

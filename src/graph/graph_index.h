@@ -113,6 +113,10 @@ class GraphIndex {
   Status Validate() const;
 
  private:
+  // Live edge updates edit the CSR arrays and bitset rows in place
+  // (graph/mutable_index.h).
+  friend class MutableGraphIndex;
+
   size_t num_vertices_ = 0;
   std::vector<uint32_t> offsets_;    // size n+1
   std::vector<VertexId> neighbors_;  // size 2m, sorted per vertex

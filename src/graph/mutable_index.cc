@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
+
+#include "util/logging.h"
 
 namespace lamo {
 namespace {
@@ -20,84 +23,66 @@ Status CheckEndpoints(size_t n, VertexId u, VertexId v) {
   return Status::OK();
 }
 
-}  // namespace
-
-MutableGraphIndex::MutableGraphIndex(const Graph& g, size_t dense_vertex_limit)
-    : adjacency_(g.num_vertices()),
-      num_edges_(g.num_edges()),
-      dense_vertex_limit_(dense_vertex_limit) {
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const auto nbrs = g.Neighbors(v);
-    adjacency_[v].assign(nbrs.begin(), nbrs.end());
+/// Inserts (add) or erases (!add) `b` in the sorted neighbor run of `a`
+/// and shifts every later run's offset by one. The caller has validated
+/// that `b` is absent (add) / present (erase).
+template <typename Offset>
+void EditCsrRun(std::vector<Offset>* offsets, std::vector<VertexId>* neighbors,
+                bool add, VertexId a, VertexId b) {
+  const auto first = neighbors->begin() + static_cast<ptrdiff_t>((*offsets)[a]);
+  const auto last =
+      neighbors->begin() + static_cast<ptrdiff_t>((*offsets)[a + 1]);
+  const auto at = std::lower_bound(first, last, b);
+  if (add) {
+    neighbors->insert(at, b);
+    for (size_t w = a + 1; w < offsets->size(); ++w) ++(*offsets)[w];
+  } else {
+    neighbors->erase(at);
+    for (size_t w = a + 1; w < offsets->size(); ++w) --(*offsets)[w];
   }
 }
 
-bool MutableGraphIndex::HasEdge(VertexId u, VertexId v) const {
-  if (u >= adjacency_.size() || v >= adjacency_.size()) return false;
-  const std::vector<VertexId>& nbrs =
-      adjacency_[u].size() <= adjacency_[v].size() ? adjacency_[u]
-                                                   : adjacency_[v];
-  const VertexId other =
-      adjacency_[u].size() <= adjacency_[v].size() ? v : u;
-  return std::binary_search(nbrs.begin(), nbrs.end(), other);
-}
+}  // namespace
+
+MutableGraphIndex::MutableGraphIndex(const Graph& g, size_t dense_vertex_limit)
+    : owned_(g), graph_(&owned_), index_(owned_, dense_vertex_limit) {}
+
+MutableGraphIndex::MutableGraphIndex(Graph* graph, size_t dense_vertex_limit)
+    : graph_(graph), index_(*graph, dense_vertex_limit) {}
 
 Status MutableGraphIndex::AddEdge(VertexId u, VertexId v) {
-  const Status check = CheckEndpoints(adjacency_.size(), u, v);
+  const Status check = CheckEndpoints(num_vertices(), u, v);
   if (!check.ok()) return check;
   if (HasEdge(u, v)) {
     return Status::AlreadyExists("edge {" + std::to_string(u) + ", " +
                                  std::to_string(v) + "} already present");
   }
-  adjacency_[u].insert(
-      std::lower_bound(adjacency_[u].begin(), adjacency_[u].end(), v), v);
-  adjacency_[v].insert(
-      std::lower_bound(adjacency_[v].begin(), adjacency_[v].end(), u), u);
-  ++num_edges_;
-  dirty_ = true;
+  LAMO_CHECK_LT(index_.neighbors_.size() + 2,
+                static_cast<size_t>(UINT32_MAX));
+  Edit(/*add=*/true, u, v);
   return Status::OK();
 }
 
 Status MutableGraphIndex::RemoveEdge(VertexId u, VertexId v) {
-  const Status check = CheckEndpoints(adjacency_.size(), u, v);
+  const Status check = CheckEndpoints(num_vertices(), u, v);
   if (!check.ok()) return check;
   if (!HasEdge(u, v)) {
     return Status::NotFound("edge {" + std::to_string(u) + ", " +
                             std::to_string(v) + "} does not exist");
   }
-  adjacency_[u].erase(
-      std::lower_bound(adjacency_[u].begin(), adjacency_[u].end(), v));
-  adjacency_[v].erase(
-      std::lower_bound(adjacency_[v].begin(), adjacency_[v].end(), u));
-  --num_edges_;
-  dirty_ = true;
+  Edit(/*add=*/false, u, v);
   return Status::OK();
 }
 
-const Graph& MutableGraphIndex::graph() {
-  Materialize();
-  return graph_;
-}
-
-const GraphIndex& MutableGraphIndex::index() {
-  Materialize();
-  return index_;
-}
-
-void MutableGraphIndex::Materialize() {
-  if (!dirty_) return;
-  GraphBuilder builder(adjacency_.size());
-  for (VertexId v = 0; v < adjacency_.size(); ++v) {
-    for (const VertexId w : adjacency_[v]) {
-      if (v < w) {
-        const Status status = builder.AddEdge(v, w);
-        (void)status;  // endpoints were validated at edit time
-      }
+void MutableGraphIndex::Edit(bool add, VertexId u, VertexId v) {
+  for (const auto& [a, b] : {std::pair{u, v}, std::pair{v, u}}) {
+    EditCsrRun(&graph_->offsets_, &graph_->neighbors_, add, a, b);
+    EditCsrRun(&index_.offsets_, &index_.neighbors_, add, a, b);
+    if (index_.dense()) {
+      index_.bits_[static_cast<size_t>(a) * index_.words_per_row_ + (b >> 6)] ^=
+          uint64_t{1} << (b & 63);
     }
   }
-  graph_ = builder.Build();
-  index_ = GraphIndex(graph_, dense_vertex_limit_);
-  dirty_ = false;
 }
 
 }  // namespace lamo

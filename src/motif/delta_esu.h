@@ -18,10 +18,11 @@ namespace lamo {
 /// and diffs the pattern each touched set induces with and without the edge.
 ///
 /// EnumeratePairSubgraphs does that re-enumeration: an ESU walk whose seed is
-/// the fixed two-vertex set {u, v} instead of a single root. Wernicke's
-/// exclusive-neighborhood invariant (a vertex becomes a candidate exactly
-/// once, when the first subgraph vertex adjacent to it joins) carries over to
-/// any connected seed, so every connected k-superset of {u, v} is emitted
+/// the fixed two-vertex set {u, v} instead of a single root (the RunPair
+/// policy of esu_internal::Engine). Wernicke's exclusive-neighborhood
+/// invariant (a vertex becomes a candidate exactly once, when the first
+/// subgraph vertex adjacent to it joins) carries over to any connected
+/// seed, so every connected k-superset of {u, v} is emitted
 /// exactly once, with no root-minimality filter. Both bit packings of each
 /// set are returned so one enumeration on the graph *with* the edge serves
 /// additions and deletions alike:
@@ -32,10 +33,9 @@ namespace lamo {
 ///   DELEDGE: every set loses bits_with; sets still connected without the
 ///            edge re-appear as bits_without.
 
-/// One connected k-set containing both anchor endpoints.
-struct PairSubgraph {
-  /// The vertex set, ascending (includes both u and v).
-  std::vector<VertexId> verts;
+/// One connected k-set containing both anchor endpoints, packed flat so a
+/// reused std::vector of them makes enumeration allocation-free.
+struct PackedPairSubgraph {
   /// InducedBits packing of the set's adjacency *including* the anchor edge.
   uint64_t bits_with = 0;
   /// bits_with with the anchor pair bit cleared — the set's adjacency in the
@@ -44,12 +44,30 @@ struct PairSubgraph {
   /// True iff the set stays connected without the anchor edge (bits_without
   /// then describes a valid connected pattern).
   bool connected_without = false;
+  /// The vertex set, ascending; the first k entries are used.
+  VertexId verts[GraphIndex::kMaxInducedBitsVertices] = {};
 };
 
-/// Appends to `*out` (cleared first) every connected k-vertex set of `index`
-/// containing both `u` and `v`, in deterministic order. `index` must contain
-/// the edge {u, v}; 2 <= k <= GraphIndex::kMaxInducedBitsVertices. Works on
-/// dense and CSR-only indexes (neighbor lists only).
+/// Appends to `*out` (cleared first; its capacity is reused) every connected
+/// k-vertex set of `index` containing both `u` and `v`, in deterministic
+/// order — the pair-anchored policy of the ESU engine (esu_engine.h).
+/// `index` must contain the edge {u, v};
+/// 2 <= k <= GraphIndex::kMaxInducedBitsVertices. Works on dense and
+/// CSR-only indexes.
+void EnumeratePairSubgraphs(const GraphIndex& index, VertexId u, VertexId v,
+                            size_t k, std::vector<PackedPairSubgraph>* out);
+
+/// The same sets, one vector per vertex set — the convenient shape for
+/// tests and offline tools.
+struct PairSubgraph {
+  /// The vertex set, ascending (includes both u and v).
+  std::vector<VertexId> verts;
+  uint64_t bits_with = 0;
+  uint64_t bits_without = 0;
+  bool connected_without = false;
+};
+
+/// EnumeratePairSubgraphs into the unpacked shape, same order.
 void EnumeratePairSubgraphs(const GraphIndex& index, VertexId u, VertexId v,
                             size_t k, std::vector<PairSubgraph>* out);
 

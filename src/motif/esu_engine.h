@@ -39,6 +39,17 @@ namespace esu_internal {
 /// fire once "not in forbidden" holds; everything else is a 1:1
 /// transliteration. The 100-graph differential test pins this.
 ///
+/// Two seeding policies share the walk:
+///
+///  * RunRoots — classic ESU: every connected k-set once, rooted at its
+///    minimum vertex (candidates must exceed the root).
+///  * RunPair — pair-anchored ESU for incremental updates: every connected
+///    k-set containing both endpoints of an edge once. The seed is the
+///    two-vertex set, no root filter applies, and frames are consumed from
+///    the back with the *preceding* siblings inherited — the emission order
+///    of the copying recursive walk that tests/motif/pair_kernel_test.cc
+///    keeps as the oracle and diffs sequences against.
+///
 /// `Emit` is invoked as emit(const VertexId* set, size_t k) with the vertex
 /// set in ascending order; returning false aborts the whole enumeration
 /// (matching the public callback contract).
@@ -93,9 +104,48 @@ class Engine {
           list.assign(extension_.begin(), extension_.end());
         }
       }
-      if (!Extend(1, 0, extension_.size(), v)) return false;
+      if (!Extend<false>(1, 0, extension_.size(), v)) return false;
     }
     return true;
+  }
+
+  /// Enumerates all connected size-k sets containing both `u` and `v`,
+  /// which must be adjacent and distinct (k >= 2). Wernicke's
+  /// exclusive-neighborhood invariant carries over to any connected seed,
+  /// so each set is emitted exactly once. Returns false iff emit aborted.
+  bool RunPair(VertexId u, VertexId v) {
+    if (k_ < 2 || k_ > index_.num_vertices()) return true;
+    subgraph_[0] = u;
+    subgraph_[1] = v;
+    if (k_ == 2) return EmitSet();
+    // Seed frame: N(u) then N(v), each ascending, minus {u, v} and repeats.
+    extension_.clear();
+    for (const VertexId x : index_.Neighbors(u)) {
+      if (x != v) extension_.push_back(x);
+    }
+    const size_t from_u = extension_.size();
+    for (const VertexId x : index_.Neighbors(v)) {
+      if (x != u && !std::binary_search(extension_.begin(),
+                                        extension_.begin() + from_u, x)) {
+        extension_.push_back(x);
+      }
+    }
+    if (k_ > 3) {
+      // forbidden({u, v}) = {u, v} ∪ N(u) ∪ N(v); read from depth 2 on.
+      if (index_.dense()) {
+        uint64_t* row = ForbiddenRow(1);
+        const uint64_t* adj_u = index_.Row(u);
+        const uint64_t* adj_v = index_.Row(v);
+        for (size_t w = 0; w < words_; ++w) row[w] = adj_u[w] | adj_v[w];
+      } else {
+        std::vector<VertexId>& list = forbidden_lists_[1];
+        list.assign(extension_.begin(), extension_.end());
+        list.push_back(u);
+        list.push_back(v);
+        std::sort(list.begin(), list.end());
+      }
+    }
+    return Extend<true>(2, 0, extension_.size(), 0);
   }
 
  private:
@@ -121,30 +171,41 @@ class Engine {
   /// Extends a subgraph of `size` vertices with candidates
   /// extension_[ext_begin, ext_end). Frames are index-based: the flat
   /// extension stack may reallocate while children append to it.
+  /// kPair selects the RunPair policy: no root filter, frames consumed from
+  /// the back, preceding siblings inherited.
+  template <bool kPair>
   bool Extend(size_t size, size_t ext_begin, size_t ext_end, VertexId root) {
+    const size_t count = ext_end - ext_begin;
     if (size + 1 == k_) {
       // Leaf level: each candidate completes a size-k set; no child state.
-      for (size_t i = ext_begin; i < ext_end; ++i) {
-        subgraph_[size] = extension_[i];
+      for (size_t step = 0; step < count; ++step) {
+        subgraph_[size] =
+            extension_[kPair ? ext_end - 1 - step : ext_begin + step];
         if (!EmitSet()) return false;
       }
       return true;
     }
     const bool build_forbidden = size + 2 < k_;
-    for (size_t i = ext_begin; i < ext_end; ++i) {
+    for (size_t step = 0; step < count; ++step) {
+      const size_t i = kPair ? ext_end - 1 - step : ext_begin + step;
       const VertexId w = extension_[i];
       subgraph_[size] = w;
       const size_t child_begin = extension_.size();
-      // Remaining siblings stay candidates for the child (ESU).
-      for (size_t j = i + 1; j < ext_end; ++j) {
+      // Not-yet-consumed siblings stay candidates for the child (ESU).
+      const size_t sib_begin = kPair ? ext_begin : i + 1;
+      const size_t sib_end = kPair ? i : ext_end;
+      for (size_t j = sib_begin; j < sib_end; ++j) {
         extension_.push_back(extension_[j]);
       }
-      // Exclusive neighbors of w: > root and outside subgraph ∪ N(subgraph).
+      // Exclusive neighbors of w: outside subgraph ∪ N(subgraph) (and
+      // > root unless pair-anchored).
       const auto nbrs = index_.Neighbors(w);
       if (index_.dense()) {
         const uint64_t* forb = ForbiddenRow(size - 1);
         for (const VertexId u : nbrs) {
-          if (u > root && !TestBit(forb, u)) extension_.push_back(u);
+          if ((kPair || u > root) && !TestBit(forb, u)) {
+            extension_.push_back(u);
+          }
         }
         if (build_forbidden) {
           uint64_t* child = ForbiddenRow(size);
@@ -158,20 +219,21 @@ class Engine {
         const std::vector<VertexId>& forb = forbidden_lists_[size - 1];
         size_t cursor = 0;
         for (const VertexId u : nbrs) {
-          if (u <= root) continue;
+          if (!kPair && u <= root) continue;
           while (cursor < forb.size() && forb[cursor] < u) ++cursor;
           if (cursor < forb.size() && forb[cursor] == u) continue;
           extension_.push_back(u);
         }
         if (build_forbidden) {
-          // child forbidden = forb ∪ {w} ∪ {u ∈ N(w) : u > root}, merged in
-          // one ascending pass (w itself is already in forb: it was an
-          // extension candidate, hence adjacent to the subgraph).
+          // child forbidden = forb ∪ {w} ∪ {u ∈ N(w) : u > root} (all of
+          // N(w) when pair-anchored), merged in one ascending pass (w
+          // itself is already in forb: it was an extension candidate, hence
+          // adjacent to the subgraph).
           std::vector<VertexId>& child = forbidden_lists_[size];
           child.clear();
           size_t fi = 0;
           size_t ni = 0;
-          while (ni < nbrs.size() && nbrs[ni] <= root) ++ni;
+          while (!kPair && ni < nbrs.size() && nbrs[ni] <= root) ++ni;
           while (fi < forb.size() || ni < nbrs.size()) {
             VertexId next;
             if (ni == nbrs.size() ||
@@ -186,7 +248,7 @@ class Engine {
         }
       }
       const bool keep_going =
-          Extend(size + 1, child_begin, extension_.size(), root);
+          Extend<kPair>(size + 1, child_begin, extension_.size(), root);
       extension_.resize(child_begin);
       if (!keep_going) return false;
     }
@@ -210,6 +272,14 @@ bool RunEsu(const GraphIndex& index, size_t k, VertexId root_begin,
             VertexId root_end, Emit&& emit) {
   Engine<std::decay_t<Emit>> engine(index, k, std::forward<Emit>(emit));
   return engine.RunRoots(root_begin, root_end);
+}
+
+/// Pair-anchored counterpart of RunEsu (see Engine::RunPair).
+template <typename Emit>
+bool RunPairEsu(const GraphIndex& index, size_t k, VertexId u, VertexId v,
+                Emit&& emit) {
+  Engine<std::decay_t<Emit>> engine(index, k, std::forward<Emit>(emit));
+  return engine.RunPair(u, v);
 }
 
 }  // namespace esu_internal

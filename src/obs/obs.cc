@@ -353,6 +353,7 @@ ScopedTimer::ScopedTimer(const std::string& name) : sink_(GetObsSink()) {
   if (TraceEnabled()) {
     // Orchestration-level only, so the by-name registry lookup is fine here.
     span_id_ = ObsSpanId(name);
+    TracePrepareThread();
     span_start_ = std::chrono::steady_clock::now();
     span_active_ = true;
   }

@@ -84,6 +84,11 @@ void TraceRecordSpan(size_t span_id,
                     num_args);
 }
 
+void TracePrepareThread() {
+  TraceCollector* collector = g_collector.load(std::memory_order_acquire);
+  if (collector != nullptr) collector->CurrentThreadRing();
+}
+
 TraceCollector::TraceCollector(size_t events_per_thread)
     : epoch_(g_epoch_source.fetch_add(1) + 1),
       start_(std::chrono::steady_clock::now()),
@@ -106,15 +111,19 @@ TraceCollector::Ring* TraceCollector::RingForCurrentThread() {
   return rings_.back().get();
 }
 
-void TraceCollector::Record(size_t span_id, uint64_t start_us,
-                            uint64_t dur_us, uint64_t arg0, uint64_t arg1,
-                            size_t num_args) {
+TraceCollector::Ring* TraceCollector::CurrentThreadRing() {
   TlsRingCache& cache = tls_ring;
   if (cache.ring == nullptr || cache.epoch != epoch_) {
     cache.ring = RingForCurrentThread();
     cache.epoch = epoch_;
   }
-  Ring& ring = *cache.ring;
+  return cache.ring;
+}
+
+void TraceCollector::Record(size_t span_id, uint64_t start_us,
+                            uint64_t dur_us, uint64_t arg0, uint64_t arg1,
+                            size_t num_args) {
+  Ring& ring = *CurrentThreadRing();
   const size_t capacity = ring.slots.size();
   if (ring.next >= capacity) ObsAdd(kObsTraceDropped, 1);
   TraceEvent& slot = ring.slots[ring.next % capacity];

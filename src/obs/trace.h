@@ -79,8 +79,11 @@ class TraceCollector {
     uint64_t next = 0;              // owner-thread writes, post-join reads
   };
 
-  /// The calling thread's ring, created and registered on first use.
+  /// Creates and registers a ring for the calling thread.
   Ring* RingForCurrentThread();
+
+  /// The calling thread's ring (cached per thread), created on first use.
+  Ring* CurrentThreadRing();
 
   /// Records one span into the calling thread's ring.
   void Record(size_t span_id, uint64_t start_us, uint64_t dur_us,
@@ -130,6 +133,12 @@ void SetTraceCollector(TraceCollector* collector);
 /// True iff a collector is installed. One relaxed atomic load.
 bool TraceEnabled();
 
+/// Creates the calling thread's ring on the installed collector if it has
+/// none yet. Span scopes call this before reading their start time, so the
+/// one-off ring allocation (events_per_thread slots) is never charged to
+/// the first span a thread records — or to the parent it nests in.
+void TracePrepareThread();
+
 /// Records a completed span on the installed collector; no-op when tracing
 /// is disabled. `start`/`end` are absolute steady_clock times.
 void TraceRecordSpan(size_t span_id,
@@ -170,7 +179,9 @@ class ScopedSpan {
   ScopedSpan(size_t span_id, uint64_t arg0, uint64_t arg1, size_t num_args)
       : active_(TraceEnabled()), span_id_(span_id),
         num_args_(static_cast<uint8_t>(num_args)), args_{arg0, arg1} {
-    if (active_) start_ = std::chrono::steady_clock::now();
+    if (!active_) return;
+    TracePrepareThread();
+    start_ = std::chrono::steady_clock::now();
   }
 
   bool active_;
@@ -192,7 +203,9 @@ class ScopedItemTimer {
       : mask_(ObsActiveMask()), span_id_(span_id),
         histogram_id_(histogram_id),
         num_args_(static_cast<uint8_t>(num_args)), args_{arg0, arg1} {
-    if (mask_ != 0) start_ = std::chrono::steady_clock::now();
+    if (mask_ == 0) return;
+    if (mask_ & kObsTraceBit) TracePrepareThread();
+    start_ = std::chrono::steady_clock::now();
   }
   ~ScopedItemTimer() {
     if (mask_ == 0) return;

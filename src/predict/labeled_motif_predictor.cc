@@ -18,36 +18,42 @@ const size_t kSpanScore = ObsSpanId("predict.score");
 
 }  // namespace
 
+SiteIndex BuildSiteIndex(const std::vector<LabeledMotif>& motifs,
+                         size_t num_proteins) {
+  SiteIndex sites(num_proteins);
+  for (uint32_t mi = 0; mi < motifs.size(); ++mi) {
+    AppendMotifSites(motifs[mi], mi,
+                     [&sites](VertexId p) { return &sites[p]; });
+  }
+  return sites;
+}
+
 LabeledMotifPredictor::LabeledMotifPredictor(
     const PredictionContext& context, const Ontology& ontology,
     const std::vector<LabeledMotif>& motifs, DeltaMode mode)
-    : context_(context), ontology_(ontology), motifs_(motifs), mode_(mode) {
+    : LabeledMotifPredictor(context, ontology, motifs, owned_index_, mode) {
+  owned_index_ = BuildSiteIndex(motifs_, context_.ppi->num_vertices());
+}
+
+LabeledMotifPredictor::LabeledMotifPredictor(
+    const PredictionContext& context, const Ontology& ontology,
+    const std::vector<LabeledMotif>& motifs, const SiteIndex& sites,
+    DeltaMode mode)
+    : context_(context),
+      ontology_(ontology),
+      motifs_(motifs),
+      mode_(mode),
+      index_(&sites) {
   priors_.reserve(context_.categories.size());
   for (TermId c : context_.categories) {
     priors_.push_back(context_.CategoryPrior(c));
-  }
-  index_.resize(context_.ppi->num_vertices());
-  for (uint32_t mi = 0; mi < motifs_.size(); ++mi) {
-    const LabeledMotif& motif = motifs_[mi];
-    for (const MotifOccurrence& occ : motif.occurrences) {
-      for (uint32_t pos = 0; pos < occ.proteins.size(); ++pos) {
-        const VertexId p = occ.proteins[pos];
-        auto& sites = index_[p];
-        const Site site{mi, pos};
-        const bool seen =
-            std::any_of(sites.begin(), sites.end(), [&](const Site& s) {
-              return s.motif == site.motif && s.vertex == site.vertex;
-            });
-        if (!seen) sites.push_back(site);
-      }
-    }
   }
 }
 
 std::vector<Prediction> LabeledMotifPredictor::Predict(ProteinId p) const {
   const ScopedItemTimer timer(kSpanScore, kHistScoreUs, p, 0, 1);
   std::vector<double> scores(context_.categories.size(), 0.0);
-  for (const Site& site : index_[p]) {
+  for (const MotifSite& site : (*index_)[p]) {
     ObsIncrement(kObsVotes);
     const LabeledMotif& motif = motifs_[site.motif];
     std::vector<double> delta(context_.categories.size(), 0.0);
@@ -89,7 +95,7 @@ std::vector<Prediction> LabeledMotifPredictor::Predict(ProteinId p) const {
 double LabeledMotifPredictor::CoverageOfAnnotated() const {
   size_t annotated = 0;
   size_t covered = 0;
-  for (ProteinId p = 0; p < index_.size(); ++p) {
+  for (ProteinId p = 0; p < index_->size(); ++p) {
     if (!context_.IsAnnotated(p)) continue;
     ++annotated;
     if (Covers(p)) ++covered;

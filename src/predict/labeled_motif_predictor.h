@@ -1,12 +1,61 @@
 #ifndef LAMO_PREDICT_LABELED_MOTIF_PREDICTOR_H_
 #define LAMO_PREDICT_LABELED_MOTIF_PREDICTOR_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/labeled_motif.h"
 #include "predict/predictor.h"
 
 namespace lamo {
+
+/// One motif site a protein appears at: `motifs[motif]`'s canonical vertex
+/// `vertex`.
+struct MotifSite {
+  uint32_t motif = 0;
+  uint32_t vertex = 0;
+
+  friend bool operator==(const MotifSite& a, const MotifSite& b) {
+    return a.motif == b.motif && a.vertex == b.vertex;
+  }
+};
+
+/// Per-protein motif-site index: row p lists the sites protein p plays,
+/// deduplicated, in first-seen order — motif index ascending, then
+/// occurrence order, then vertex position. Rows are therefore grouped into
+/// one contiguous segment per motif.
+using SiteIndex = std::vector<std::vector<MotifSite>>;
+
+/// The first-seen site loop every site index is built with. For each
+/// occurrence of `motif` (index `mi`) in order and each vertex position,
+/// appends MotifSite{mi, pos} to `*row_for(protein)` unless that row's
+/// segment for `mi` (its tail) already holds it; a null row skips the
+/// protein. Call in ascending motif order for whole rows (BuildSiteIndex),
+/// or on empty scratch rows to recompute one motif's segments (the
+/// serve-path update engine).
+template <typename RowFor>
+void AppendMotifSites(const LabeledMotif& motif, uint32_t mi,
+                      RowFor&& row_for) {
+  for (const MotifOccurrence& occ : motif.occurrences) {
+    for (uint32_t pos = 0; pos < occ.proteins.size(); ++pos) {
+      std::vector<MotifSite>* row = row_for(occ.proteins[pos]);
+      if (row == nullptr) continue;
+      bool seen = false;
+      for (auto it = row->rbegin(); it != row->rend() && it->motif == mi;
+           ++it) {
+        if (it->vertex == pos) {
+          seen = true;
+          break;
+        }
+      }
+      if (!seen) row->push_back(MotifSite{mi, pos});
+    }
+  }
+}
+
+/// The site index of `motifs` over `num_proteins` proteins.
+SiteIndex BuildSiteIndex(const std::vector<LabeledMotif>& motifs,
+                         size_t num_proteins);
 
 /// The paper's proposed method (Section 5): predict the functions of a
 /// protein from the labeled network motifs it occurs in.
@@ -40,36 +89,47 @@ class LabeledMotifPredictor : public FunctionPredictor {
     kOccurrenceProteins,
   };
 
-  /// Builds the per-protein motif-vertex index. All references must outlive
-  /// the predictor. Motifs must already carry their LMS strengths
-  /// (ComputeMotifStrengths). `ontology` is the branch the schemes were
-  /// labeled in (used to generalize scheme labels to categories).
+  /// Builds the per-protein motif-vertex index (BuildSiteIndex). All
+  /// references must outlive the predictor. Motifs must already carry their
+  /// LMS strengths (ComputeMotifStrengths). `ontology` is the branch the
+  /// schemes were labeled in (used to generalize scheme labels to
+  /// categories).
   LabeledMotifPredictor(const PredictionContext& context,
                         const Ontology& ontology,
                         const std::vector<LabeledMotif>& motifs,
                         DeltaMode mode = DeltaMode::kSchemeLabels);
+
+  /// Borrows `sites` (one row per protein of context.ppi) instead of
+  /// building an index, so a caller that maintains the index — a served
+  /// snapshot under live updates — is read in place. A protein whose row is
+  /// empty (a shard's non-owned proteins) is not covered.
+  LabeledMotifPredictor(const PredictionContext& context,
+                        const Ontology& ontology,
+                        const std::vector<LabeledMotif>& motifs,
+                        const SiteIndex& sites,
+                        DeltaMode mode = DeltaMode::kSchemeLabels);
+
+  /// Not copyable: index_ may point into this object.
+  LabeledMotifPredictor(const LabeledMotifPredictor&) = delete;
+  LabeledMotifPredictor& operator=(const LabeledMotifPredictor&) = delete;
 
   std::string name() const override { return "LabeledMotif"; }
   std::vector<Prediction> Predict(ProteinId p) const override;
 
   /// True iff p occurs in at least one labeled motif (the method has
   /// signal for p).
-  bool Covers(ProteinId p) const override { return !index_[p].empty(); }
+  bool Covers(ProteinId p) const override { return !(*index_)[p].empty(); }
 
   /// Fraction of annotated proteins covered by at least one labeled motif.
   double CoverageOfAnnotated() const;
 
  private:
-  struct Site {
-    uint32_t motif = 0;   // index into motifs_
-    uint32_t vertex = 0;  // motif vertex position at which p appears
-  };
-
   const PredictionContext& context_;
   const Ontology& ontology_;
   const std::vector<LabeledMotif>& motifs_;
   DeltaMode mode_;
-  std::vector<std::vector<Site>> index_;  // per protein, deduplicated sites
+  SiteIndex owned_index_;    // empty when the index is borrowed
+  const SiteIndex* index_;   // owned_index_ or the borrowed one
   std::vector<double> priors_;  // per category: tie-break for unvoted ones
 };
 

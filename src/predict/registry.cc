@@ -16,6 +16,13 @@ StatusOr<std::unique_ptr<FunctionPredictor>> MakeLms(
     return Status::InvalidArgument(
         "predictor 'lms' needs labeled motifs and their ontology");
   }
+  if (inputs.sites != nullptr) {
+    if (inputs.sites->size() != inputs.context->ppi->num_vertices()) {
+      return Status::InvalidArgument("site index has the wrong shape");
+    }
+    return std::unique_ptr<FunctionPredictor>(new LabeledMotifPredictor(
+        *inputs.context, *inputs.ontology, *inputs.motifs, *inputs.sites));
+  }
   return std::unique_ptr<FunctionPredictor>(new LabeledMotifPredictor(
       *inputs.context, *inputs.ontology, *inputs.motifs));
 }

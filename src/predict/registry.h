@@ -8,6 +8,7 @@
 
 #include "core/labeled_motif.h"
 #include "ontology/ontology.h"
+#include "predict/labeled_motif_predictor.h"
 #include "predict/predictor.h"
 #include "util/status.h"
 
@@ -22,6 +23,9 @@ struct PredictorInputs {
   const PredictionContext* context = nullptr;
   const Ontology* ontology = nullptr;                     // lms
   const std::vector<LabeledMotif>* motifs = nullptr;      // lms
+  /// Optional for lms: a maintained site index over `motifs` to borrow
+  /// (one row per protein) instead of building a private one.
+  const SiteIndex* sites = nullptr;
   const std::vector<uint64_t>* gds_signatures = nullptr;  // n x kGdsOrbits
   const std::vector<double>* role_vectors = nullptr;      // n x role_dim
   size_t role_dim = 0;

@@ -1,6 +1,7 @@
 #include "serve/cache.h"
 
 #include <functional>
+#include <iterator>
 
 namespace lamo {
 
@@ -27,41 +28,56 @@ bool ResponseCache::Get(const std::string& key, std::string* value) {
   auto it = shard.index.find(key);
   if (it == shard.index.end()) return false;
   shard.entries.splice(shard.entries.begin(), shard.entries, it->second);
-  *value = it->second->second;
+  *value = it->second->value;
   return true;
 }
 
-void ResponseCache::Put(const std::string& key, std::string value) {
+void ResponseCache::Put(const std::string& key, std::string value,
+                        uint64_t tag) {
   if (capacity_ == 0) return;
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    it->second->second = std::move(value);
+    it->second->value = std::move(value);
     shard.entries.splice(shard.entries.begin(), shard.entries, it->second);
     return;
   }
-  shard.entries.emplace_front(key, std::move(value));
+  shard.entries.push_front(Entry{key, std::move(value), shard.slots.size()});
   shard.index[key] = shard.entries.begin();
+  shard.tags.push_back(tag);
+  shard.slots.push_back(shard.entries.begin());
   if (shard.entries.size() > per_shard_capacity_) {
-    shard.index.erase(shard.entries.back().first);
-    shard.entries.pop_back();
+    Remove(&shard, std::prev(shard.entries.end()));
   }
 }
 
-size_t ResponseCache::EraseIf(
-    const std::function<bool(const std::string&)>& pred) {
+void ResponseCache::Remove(Shard* shard, std::list<Entry>::iterator it) {
+  const size_t slot = it->slot;
+  const size_t last = shard->slots.size() - 1;
+  if (slot != last) {
+    shard->tags[slot] = shard->tags[last];
+    shard->slots[slot] = shard->slots[last];
+    shard->slots[slot]->slot = slot;
+  }
+  shard->tags.pop_back();
+  shard->slots.pop_back();
+  shard->index.erase(it->key);
+  shard->entries.erase(it);
+}
+
+size_t ResponseCache::EraseTagged(const std::function<bool(uint64_t)>& pred) {
   if (capacity_ == 0) return 0;
   size_t erased = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto it = shard->entries.begin(); it != shard->entries.end();) {
-      if (pred(it->first)) {
-        shard->index.erase(it->first);
-        it = shard->entries.erase(it);
+    // Removing slot i moves the last slot into i, so i is re-examined.
+    for (size_t i = 0; i < shard->tags.size();) {
+      if (pred(shard->tags[i])) {
+        Remove(shard.get(), shard->slots[i]);
         ++erased;
       } else {
-        ++it;
+        ++i;
       }
     }
   }

@@ -2,6 +2,7 @@
 #define LAMO_SERVE_CACHE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <list>
 #include <memory>
@@ -34,14 +35,17 @@ class ResponseCache {
   bool Get(const std::string& key, std::string* value);
 
   /// Inserts or refreshes `key`, evicting the shard's least-recently-used
-  /// entry when its slice is full.
-  void Put(const std::string& key, std::string value);
+  /// entry when its slice is full. `tag` is an opaque label for
+  /// EraseTagged (the server tags an answer with the protein it is about);
+  /// a key keeps the tag it was first inserted with.
+  void Put(const std::string& key, std::string value, uint64_t tag = 0);
 
-  /// Removes every entry whose key satisfies `pred`; returns how many were
+  /// Removes every entry whose tag satisfies `pred`; returns how many were
   /// dropped. Live updates use this to invalidate exactly the responses an
-  /// edge mutation can change (per-shard scan — invalidation is rare next
-  /// to queries, so O(entries) under short per-shard locks is fine).
-  size_t EraseIf(const std::function<bool(const std::string&)>& pred);
+  /// edge mutation can change. Each shard keeps its tags in one flat array
+  /// beside the recency list, so the scan reads a few contiguous KiB and
+  /// touches the (cold, scattered) entries only to erase them.
+  size_t EraseTagged(const std::function<bool(uint64_t)>& pred);
 
   /// Entries currently held, summed over shards.
   size_t size() const;
@@ -50,14 +54,24 @@ class ResponseCache {
   size_t capacity() const { return capacity_; }
 
  private:
+  struct Entry {
+    std::string key;
+    std::string value;
+    size_t slot = 0;  // position in Shard::tags / Shard::slots
+  };
   struct Shard {
     mutable std::mutex mu;
-    // Most-recently-used at the front; each entry is (key, response).
-    std::list<std::pair<std::string, std::string>> entries;
-    std::unordered_map<std::string, decltype(entries)::iterator> index;
+    // Most-recently-used at the front.
+    std::list<Entry> entries;
+    std::unordered_map<std::string, std::list<Entry>::iterator> index;
+    // One slot per entry, in no particular order: tags[i] labels slots[i].
+    std::vector<uint64_t> tags;
+    std::vector<std::list<Entry>::iterator> slots;
   };
 
   Shard& ShardFor(const std::string& key);
+  /// Drops `it` from all of the shard's structures (swap-removing its slot).
+  static void Remove(Shard* shard, std::list<Entry>::iterator it);
 
   size_t capacity_;
   size_t per_shard_capacity_;

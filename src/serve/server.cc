@@ -14,11 +14,11 @@
 #include <future>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "obs/obs.h"
 #include "obs/prometheus.h"
+#include "obs/trace.h"
 #include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
 #include "predict/registry.h"
@@ -64,11 +64,37 @@ const size_t kObsUpdateResubgraphs = ObsCounterId("update.resubgraphs");
 const size_t kObsUpdateJournalReplayed = ObsCounterId("update.journal_replayed");
 const size_t kObsUpdateCacheEvicted = ObsCounterId("update.cache_evicted");
 const size_t kHistUpdateUs = ObsHistogramId("update.update_us");
+/// Trace spans of the two exclusive verbs' server time: update.apply spans
+/// exactly what update.update_us times; the engine's phase spans
+/// (update.index_edit, update.enumerate.k<k>, update.classify,
+/// update.sites, update.roles) and update.invalidate nest inside.
+const size_t kSpanUpdateApply = ObsSpanId("update.apply");
+const size_t kSpanUpdateScoreEdge = ObsSpanId("update.score_edge");
+const size_t kSpanUpdateInvalidate = ObsSpanId("update.invalidate");
 
 /// Armed between the durable journal append and the in-memory apply: a
 /// crash here proves replay reconstructs the acknowledged-but-unapplied
 /// update (the "entry present" consistency case).
 const size_t kFaultUpdateApply = FaultPointId("update.apply");
+
+/// Response-cache tags: the verb family in the high word, the protein the
+/// answer is about in the low word, so InvalidateCache tests an entry's
+/// protein without reading its key. TERMINFO and the status verbs stay
+/// untagged (0) and are never invalidated by updates.
+constexpr uint64_t kCacheTagProtein = 0xffffffffu;
+constexpr uint64_t kCacheTagPredict = uint64_t{1} << 32;
+constexpr uint64_t kCacheTagMotifs = uint64_t{2} << 32;
+
+uint64_t CacheTag(const Request& request) {
+  switch (request.type) {
+    case RequestType::kPredict:
+      return kCacheTagPredict | request.protein;
+    case RequestType::kMotifs:
+      return kCacheTagMotifs | request.protein;
+    default:
+      return 0;
+  }
+}
 
 /// True for the verbs that need the snapshot lock exclusively.
 bool NeedsExclusive(RequestType type) {
@@ -128,6 +154,7 @@ Status SnapshotService::UsePredictor(const std::string& name) {
   inputs.context = &context_;
   inputs.ontology = &snapshot_.ontology;
   inputs.motifs = &snapshot_.motifs;
+  inputs.sites = &snapshot_.sites;
   inputs.gds_signatures = &snapshot_.gds_signatures;
   inputs.role_vectors = &snapshot_.role_vectors;
   inputs.role_dim = snapshot_.role_dim;
@@ -192,7 +219,7 @@ std::string SnapshotService::Handle(const std::string& line) {
         ok_response = false;
       } else {
         response = FormatOkResponse(*payload);
-        if (cacheable) cache_.Put(key, response);
+        if (cacheable) cache_.Put(key, response, CacheTag(request));
       }
     }
   }
@@ -256,15 +283,21 @@ StatusOr<std::vector<std::string>> SnapshotService::ApplyEdge(
         "injected apply failure; the update is journaled and will replay on "
         "restart");
   }
-  const Clock::time_point start = Clock::now();
   UpdateResult result;
-  status = engine_->Apply(add, u, v, &result);
-  if (!status.ok()) return status;
-  // The predictor indexes the pre-update motif state (lms copies the site
-  // index at construction); rebuild it from the patched snapshot.
-  status = UsePredictor(predictor_name_);
-  if (!status.ok()) return status;
-  const size_t evicted = InvalidateCache(result);
+  size_t evicted = 0;
+  {
+    const ScopedItemTimer timer(kSpanUpdateApply, kHistUpdateUs);
+    status = engine_->Apply(add, u, v, &result);
+    if (!status.ok()) return status;
+    // lms reads the patched snapshot in place (motifs, strengths and the
+    // site index); gds and role copy their matrices, so rebuild those.
+    if (predictor_name_ != "lms") {
+      status = UsePredictor(predictor_name_);
+      if (!status.ok()) return status;
+    }
+    const ScopedSpan span(kSpanUpdateInvalidate);
+    evicted = InvalidateCache(result);
+  }
 
   stats_.updates.fetch_add(1, std::memory_order_relaxed);
   ObsIncrement(kObsUpdatesApplied);
@@ -273,7 +306,6 @@ StatusOr<std::vector<std::string>> SnapshotService::ApplyEdge(
   ObsAdd(kObsUpdateOccRemoved, result.occ_removed);
   ObsAdd(kObsUpdateResubgraphs, result.resubgraphs);
   ObsAdd(kObsUpdateCacheEvicted, evicted);
-  if (ObsEnabled()) ObsObserve(kHistUpdateUs, MicrosSince(start));
 
   char buffer[192];
   std::snprintf(buffer, sizeof buffer,
@@ -288,8 +320,11 @@ StatusOr<std::vector<std::string>> SnapshotService::ApplyEdge(
 StatusOr<std::vector<std::string>> SnapshotService::PredictEdge(
     const Request& request) {
   EdgeScore score;
-  Status status = engine_->ScoreEdge(request.protein, request.protein2,
-                                     &score);
+  Status status;
+  {
+    const ScopedSpan span(kSpanUpdateScoreEdge);
+    status = engine_->ScoreEdge(request.protein, request.protein2, &score);
+  }
   if (!status.ok()) return status;
   std::vector<std::string> lines;
   char buffer[192];
@@ -318,20 +353,21 @@ size_t SnapshotService::InvalidateCache(const UpdateResult& result) {
   const bool all_predicts =
       (predictor_name_ == "gds" && result.signatures_changed) ||
       (predictor_name_ == "role" && result.roles_changed);
-  std::unordered_set<std::string> exact;
-  std::unordered_set<std::string> predict_prefixes;
-  for (const VertexId p : result.affected) {
-    exact.insert("MOTIFS " + std::to_string(p));
-    predict_prefixes.insert("PREDICT " + std::to_string(p) + " ");
-  }
-  return cache_.EraseIf([&](const std::string& key) {
-    if (key.rfind("PREDICT ", 0) == 0) {
-      if (all_predicts) return true;
-      const size_t space = key.find(' ', 8);
-      return space != std::string::npos &&
-             predict_prefixes.count(key.substr(0, space + 1)) > 0;
+  affected_.assign(snapshot_.graph.num_vertices(), 0);
+  for (const VertexId p : result.affected) affected_[p] = 1;
+  const auto affected = [this](uint64_t tag) {
+    const uint64_t p = tag & kCacheTagProtein;
+    return p < affected_.size() && affected_[p] != 0;
+  };
+  return cache_.EraseTagged([&](uint64_t tag) {
+    switch (tag & ~kCacheTagProtein) {
+      case kCacheTagPredict:
+        return all_predicts || affected(tag);
+      case kCacheTagMotifs:
+        return affected(tag);
+      default:
+        return false;
     }
-    return exact.count(key) > 0;
   });
 }
 

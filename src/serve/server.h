@@ -130,8 +130,9 @@ class SnapshotService : public LineService {
   std::vector<std::string> Health() const;
   std::vector<std::string> Stats() const;
   std::vector<std::string> Metrics();
-  /// ADDEDGE / DELEDGE: journal, apply, refresh predictor state, invalidate
-  /// affected cache entries. Caller holds snapshot_mu_ exclusively.
+  /// ADDEDGE / DELEDGE: journal, apply, refresh predictor state (gds/role
+  /// only — lms reads the snapshot in place), invalidate affected cache
+  /// entries. Caller holds snapshot_mu_ exclusively.
   StatusOr<std::vector<std::string>> ApplyEdge(const Request& request);
   /// PREDICT_EDGE. Caller holds snapshot_mu_ exclusively (the scoring
   /// shares the engine's scratch overlay and memoizing similarity).
@@ -152,6 +153,8 @@ class SnapshotService : public LineService {
   std::shared_mutex snapshot_mu_;
   std::unique_ptr<UpdateEngine> engine_;   // guarded by snapshot_mu_
   std::unique_ptr<UpdateJournal> journal_;  // guarded by snapshot_mu_
+  /// InvalidateCache's per-protein mark of UpdateResult::affected.
+  std::vector<uint8_t> affected_;  // guarded by snapshot_mu_
   const std::chrono::steady_clock::time_point start_ =
       std::chrono::steady_clock::now();
   std::mutex metrics_mu_;

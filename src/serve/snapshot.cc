@@ -391,20 +391,7 @@ Snapshot BuildSnapshot(Graph graph, Ontology ontology,
   snap.informative = InformativeClasses::Compute(
       snap.ontology, snap.annotations, informative_config);
 
-  // Per-protein site index: identical construction (and therefore identical
-  // first-seen order) to LabeledMotifPredictor's.
-  snap.sites.resize(snap.graph.num_vertices());
-  for (uint32_t mi = 0; mi < snap.motifs.size(); ++mi) {
-    for (const MotifOccurrence& occ : snap.motifs[mi].occurrences) {
-      for (uint32_t pos = 0; pos < occ.proteins.size(); ++pos) {
-        auto& sites = snap.sites[occ.proteins[pos]];
-        const SnapshotSite site{mi, pos};
-        if (std::find(sites.begin(), sites.end(), site) == sites.end()) {
-          sites.push_back(site);
-        }
-      }
-    }
-  }
+  snap.sites = BuildSiteIndex(snap.motifs, snap.graph.num_vertices());
 
   // Predictor section: the non-default backends' precomputed inputs. Both
   // computations are deterministic, so serving from these matrices answers

@@ -11,6 +11,7 @@
 #include "ontology/informative.h"
 #include "ontology/ontology.h"
 #include "ontology/weights.h"
+#include "predict/labeled_motif_predictor.h"
 #include "util/status.h"
 
 namespace lamo {
@@ -46,16 +47,8 @@ inline constexpr uint32_t kSnapshotVersion = 3;
 /// --predictor gds|role` asks for a repack.
 inline constexpr uint32_t kMinSnapshotVersion = 2;
 
-/// One motif site a protein appears at: `motifs[motif]`'s canonical vertex
-/// `vertex`. Mirrors LabeledMotifPredictor's per-protein index.
-struct SnapshotSite {
-  uint32_t motif = 0;
-  uint32_t vertex = 0;
-
-  friend bool operator==(const SnapshotSite& a, const SnapshotSite& b) {
-    return a.motif == b.motif && a.vertex == b.vertex;
-  }
-};
+/// One motif site a protein appears at (predict/labeled_motif_predictor.h).
+using SnapshotSite = MotifSite;
 
 /// The in-memory image of a snapshot.
 struct Snapshot {
@@ -67,8 +60,8 @@ struct Snapshot {
   std::vector<LabeledMotif> motifs;
 
   /// Per-protein motif-occurrence index: sites[p] lists the (motif, vertex)
-  /// pairs protein p plays, deduplicated, in first-seen order (identical to
-  /// the index LabeledMotifPredictor builds).
+  /// pairs protein p plays, deduplicated, in first-seen order
+  /// (BuildSiteIndex). The served lms predictor reads it in place.
   std::vector<std::vector<SnapshotSite>> sites;
 
   /// Prediction context, materialized at pack time: the top categories

@@ -11,6 +11,7 @@
 #include "core/lamofinder.h"
 #include "graph/mutable_index.h"
 #include "motif/canon_cache.h"
+#include "motif/delta_esu.h"
 #include "serve/snapshot.h"
 #include "util/status.h"
 
@@ -61,8 +62,11 @@ struct EdgeScore {
 /// mutation by re-enumerating only the connected k-sets containing both
 /// endpoints (EnumeratePairSubgraphs) and diffing each set's induced pattern
 /// with and without the edge through the SharedCanonCache. From the deltas
-/// it patches, in place:
+/// it patches, in place, at a cost proportional to what the edge changes:
 ///
+///   * the snapshot's graph itself (MutableGraphIndex: sorted insert/erase
+///     in the CSR arrays, a bit flip in the dense rows — no copy, no
+///     rebuild);
 ///   * motif occurrence lists (conforming occurrences only — each candidate
 ///     is conformance-checked against the motif's labeling scheme, exactly
 ///     the check `lamo label` ran at pack time; schemes themselves are
@@ -70,8 +74,11 @@ struct EdgeScore {
 ///   * motif frequencies (counted globally, even on shards that do not
 ///     store the occurrence) and, through them, every LMS strength in the
 ///     affected size classes;
-///   * the per-protein site index (rebuilt with BuildSnapshot's first-seen
-///     dedup so an equal-state repack is byte-identical);
+///   * the per-protein site index: only the segments of (motif, protein)
+///     pairs whose occurrences were added or removed are recomputed, with
+///     the same first-seen loop BuildSnapshot runs (AppendMotifSites), so
+///     an equal-state repack is byte-identical; shards keep owned rows
+///     only;
 ///   * the GDS signature matrix (per-set orbit count deltas, k = 2..5);
 ///   * the role-vector matrix (full recompute — column normalization makes
 ///     every row depend on every edge).
@@ -81,9 +88,13 @@ struct EdgeScore {
 /// from a freshly repacked snapshot — the serving stack's core contract,
 /// extended to updates.
 ///
+/// Every phase is a trace span under the caller's update span:
+/// update.index_edit, update.enumerate.k<k> (arg: k), update.classify
+/// (arg: k), update.sites and update.roles.
+///
 /// Not thread-safe: the service serializes Apply/ScoreEdge behind its
 /// snapshot lock (LaMoFinder's memoizing term similarity is not safe for
-/// concurrent use either).
+/// concurrent use either, and both calls edit the snapshot's graph).
 class UpdateEngine {
  public:
   /// `snapshot` must outlive the engine and not be modified externally
@@ -102,23 +113,53 @@ class UpdateEngine {
   Status Apply(bool add, VertexId u, VertexId v, UpdateResult* result);
 
   /// Scores the candidate interaction {u, v} by motif completion. The edge
-  /// must be absent; the snapshot is unchanged (the edge is added to a
-  /// scratch overlay and removed again).
+  /// must be absent. The snapshot ends unchanged: the edge is inserted into
+  /// its graph for the enumeration and erased again.
   Status ScoreEdge(VertexId u, VertexId v, EdgeScore* out);
 
  private:
   SharedCanonCache& CacheFor(size_t k);
-  /// Motif sizes plus the graphlet sizes 2..5 when GDS is maintained.
-  std::vector<size_t> UpdateSizes() const;
+  /// Conformance of motif `mi` on the ascending vertex set `verts` aligned
+  /// by `canon`: true iff it conforms, with `conforming_` the occurrence
+  /// re-aligned to the motif's scheme.
+  bool Conforms(uint32_t mi, const VertexId* verts,
+                const CanonicalResult& canon);
+  /// Patches the GDS signature rows of the current enumeration (subs_).
+  void PatchSignatures(bool add, size_t k);
+  /// Moves the conforming occurrences of the current enumeration (subs_)
+  /// between motifs; fills freq_delta_, touched_ and affected_.
+  void PatchOccurrences(bool add, size_t k, UpdateResult* result);
+  /// Strengths, the site-index segments in touched_, and the rows siting a
+  /// changed motif (marked in affected_).
+  void PatchSites();
 
   Snapshot* snap_;
-  MutableGraphIndex graph_;
+  MutableGraphIndex graph_;  // edits snap_->graph in place
   LaMoFinder finder_;
+  /// Motif sizes plus the graphlet sizes 2..5 when GDS is maintained.
+  std::vector<size_t> sizes_;
+  /// Span id of update.enumerate.k<k>, by k.
+  std::vector<size_t> enumerate_spans_;
   std::map<size_t, std::unique_ptr<SharedCanonCache>> caches_;
   /// size -> canonical code -> indices of labeled motifs with that pattern
   /// (several labeling schemes can share one pattern).
-  std::map<size_t, std::map<std::string, std::vector<uint32_t>>>
+  std::map<size_t, std::map<std::vector<uint8_t>, std::vector<uint32_t>>>
       motifs_by_code_;
+
+  // Scratch reused across updates, so the steady state does not allocate.
+  std::vector<PackedPairSubgraph> subs_;
+  std::vector<int64_t> freq_delta_;                     // per motif
+  std::vector<std::pair<uint32_t, VertexId>> touched_;  // (motif, protein)
+  std::vector<uint8_t> affected_;                       // per protein
+  std::vector<uint8_t> motif_changed_;                  // per motif
+  std::vector<double> old_strengths_;                   // per motif
+  std::vector<uint32_t> slot_of_;       // per protein: segments_ slot
+  std::vector<VertexId> slot_protein_;  // per slot
+  SiteIndex segments_;                  // recomputed segment per slot
+  /// Per motif: the symmetric sets its conformance is checked within.
+  std::vector<std::unique_ptr<OccurrenceSimilarity>> symmetric_sets_;
+  MotifOccurrence candidate_;   // canonically aligned candidate
+  MotifOccurrence conforming_;  // candidate_ aligned to the scheme
 };
 
 }  // namespace lamo

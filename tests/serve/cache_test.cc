@@ -1,6 +1,7 @@
 // ResponseCache tests: hit/miss behavior, LRU eviction order, recency
-// refresh on Get and Put, the capacity-0 kill switch, and thread safety
-// under concurrent mixed traffic (meaningful under TSan via reproduce.sh).
+// refresh on Get and Put, the capacity-0 kill switch, tag-driven erasure,
+// and thread safety under concurrent mixed traffic (meaningful under TSan
+// via reproduce.sh).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -64,6 +65,40 @@ TEST(ResponseCacheTest, ShardedCapacityIsRespected) {
   // ceil(16/4) = 4 slots per shard; total never exceeds shards * slice.
   EXPECT_LE(cache.size(), 16u);
   EXPECT_GT(cache.size(), 0u);
+}
+
+TEST(ResponseCacheTest, EraseTaggedDropsExactlyTheMatchingEntries) {
+  // LRU evictions and tag erasures both swap-remove slots; interleave them
+  // and check every round against the keys actually present.
+  ResponseCache cache(/*capacity=*/48, /*num_shards=*/4);
+  const auto tag_of = [](int key) { return static_cast<uint64_t>(key % 7); };
+  int next = 0;
+  for (uint64_t round = 0; round < 7; ++round) {
+    for (int i = 0; i < 90; ++i, ++next) {
+      cache.Put("key" + std::to_string(next), "v", tag_of(next));
+    }
+    std::vector<int> present;
+    std::string value;
+    for (int key = 0; key < next; ++key) {
+      if (cache.Get("key" + std::to_string(key), &value)) {
+        present.push_back(key);
+      }
+    }
+    ASSERT_EQ(present.size(), cache.size());
+    size_t matching = 0;
+    for (const int key : present) matching += tag_of(key) == round;
+    EXPECT_EQ(cache.EraseTagged([round](uint64_t tag) { return tag == round; }),
+              matching);
+    EXPECT_EQ(cache.size(), present.size() - matching);
+    for (const int key : present) {
+      EXPECT_EQ(cache.Get("key" + std::to_string(key), &value),
+                tag_of(key) != round)
+          << "key" << key;
+    }
+  }
+  const size_t left = cache.size();
+  EXPECT_EQ(cache.EraseTagged([](uint64_t) { return true; }), left);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(ResponseCacheTest, ConcurrentMixedTrafficIsSafe) {

@@ -11,9 +11,21 @@
 // Schema v2 adds the "histograms" object and the trace.dropped counter; v1
 // reports (no histograms) are still accepted with a warning so archived
 // reports keep checking out.
+//
+// Given a Chrome trace written by `--trace` instead (a top-level
+// "traceEvents" array), it checks span nesting: every phase span that only
+// exists inside a parent span (the update engine's phases inside
+// update.apply / update.score_edge) must lie within one of its parents on
+// the same thread, and the phases must cover at least 95% of the summed
+// update.apply time (the update.update_us histogram's scope):
+//
+//   lamo serve --snapshot s.lamosnap --stdin --trace t.json < updates.txt
+//   lamo_report_check t.json
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "obs/json.h"
 
@@ -115,6 +127,129 @@ int CheckHistogram(const std::string& name, const JsonValue& hist) {
   return 0;
 }
 
+// ---- Chrome traces -----------------------------------------------------------
+
+// A phase span that is only ever recorded inside one of `parents`.
+struct NestingRule {
+  const char* child;  // exact name, or a name prefix when `prefix`
+  bool prefix;
+  std::vector<const char*> parents;
+};
+
+const std::vector<NestingRule>& NestingRules() {
+  static const std::vector<NestingRule> rules = {
+      {"update.enumerate.k", true, {"update.apply", "update.score_edge"}},
+      {"update.classify", false, {"update.apply", "update.score_edge"}},
+      {"update.index_edit", false, {"update.apply", "update.score_edge"}},
+      {"update.sites", false, {"update.apply"}},
+      {"update.roles", false, {"update.apply"}},
+      {"update.invalidate", false, {"update.apply"}},
+  };
+  return rules;
+}
+
+const NestingRule* RuleFor(const std::string& name) {
+  for (const NestingRule& rule : NestingRules()) {
+    if (rule.prefix ? name.rfind(rule.child, 0) == 0 : name == rule.child) {
+      return &rule;
+    }
+  }
+  return nullptr;
+}
+
+struct TraceSpan {
+  std::string name;
+  uint64_t tid = 0;
+  double start = 0;
+  double end = 0;
+};
+
+// Minimum share of update.apply time its nested phases must cover.
+constexpr double kMinUpdateCoverage = 0.95;
+
+int CheckTrace(const std::string& path, const JsonValue& trace,
+               int num_required, char** required) {
+  const JsonValue* events = trace.Find("traceEvents");
+  if (events == nullptr || !events->is_array()) {
+    return Fail("traceEvents is not an array");
+  }
+  std::vector<TraceSpan> spans;
+  for (const JsonValue& event : events->items) {
+    const JsonValue* ph = event.Find("ph");
+    if (ph == nullptr || !ph->is_string() || ph->string_value != "X") continue;
+    const JsonValue* name = event.Find("name");
+    const JsonValue* tid = event.Find("tid");
+    const JsonValue* ts = event.Find("ts");
+    const JsonValue* dur = event.Find("dur");
+    if (name == nullptr || !name->is_string() || tid == nullptr ||
+        !tid->is_number() || ts == nullptr || !ts->is_number() ||
+        dur == nullptr || !dur->is_number()) {
+      return Fail("malformed trace event");
+    }
+    spans.push_back(TraceSpan{name->string_value,
+                              static_cast<uint64_t>(tid->number_value),
+                              ts->number_value,
+                              ts->number_value + dur->number_value});
+  }
+  // Parent spans by (thread, name); each nested span must fit in one, and
+  // its time is credited to that parent's name.
+  std::map<std::pair<uint64_t, std::string>, std::vector<const TraceSpan*>>
+      parents;
+  std::map<std::string, double> parent_total;
+  std::map<std::string, double> child_total;
+  for (const NestingRule& rule : NestingRules()) {
+    for (const char* parent : rule.parents) parent_total[parent] += 0.0;
+  }
+  for (const TraceSpan& span : spans) {
+    if (parent_total.count(span.name) > 0) {
+      parents[{span.tid, span.name}].push_back(&span);
+      parent_total[span.name] += span.end - span.start;
+    }
+  }
+  for (const TraceSpan& span : spans) {
+    const NestingRule* rule = RuleFor(span.name);
+    if (rule == nullptr) continue;
+    const char* found = nullptr;
+    for (const char* parent : rule->parents) {
+      const auto it = parents.find({span.tid, parent});
+      if (it == parents.end()) continue;
+      for (const TraceSpan* p : it->second) {
+        if (p->start <= span.start && span.end <= p->end) {
+          found = parent;
+          break;
+        }
+      }
+      if (found != nullptr) break;
+    }
+    if (found == nullptr) {
+      return Fail("span \"" + span.name + "\" at ts " +
+                  std::to_string(static_cast<uint64_t>(span.start)) +
+                  " on thread " + std::to_string(span.tid) +
+                  " lies outside every parent span it belongs to");
+    }
+    child_total[found] += span.end - span.start;
+  }
+  if (num_required > 0) {
+    return Fail(std::string("trace checks take no extra arguments, got ") +
+                required[0]);
+  }
+  for (const auto& [parent, total] : parent_total) {
+    if (total <= 0.0) continue;
+    const double covered = child_total[parent] / total;
+    std::printf("%s: nested phases cover %.1f%% of %.0f us\n", parent.c_str(),
+                100.0 * covered, total);
+    // update.apply times exactly the update.update_us histogram; its phases
+    // must account for nearly all of it, or a cost centre is unattributed.
+    if (parent == "update.apply" && covered < kMinUpdateCoverage) {
+      return Fail("nested phases cover " + std::to_string(covered) +
+                  " of update.apply, below " +
+                  std::to_string(kMinUpdateCoverage));
+    }
+  }
+  std::printf("trace OK: %s\n", path.c_str());
+  return 0;
+}
+
 int Check(const std::string& path, int num_required, char** required) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Fail("cannot open " + path);
@@ -130,6 +265,9 @@ int Check(const std::string& path, int num_required, char** required) {
   std::string error;
   if (!ParseJson(text, &report, &error)) return Fail("bad JSON: " + error);
   if (!report.is_object()) return Fail("top level is not an object");
+  if (report.Find("traceEvents") != nullptr) {
+    return CheckTrace(path, report, num_required, required);
+  }
 
   int rc = 0;
   const JsonValue* version = RequireMember(
@@ -381,7 +519,8 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: lamo_report_check <report.json> "
-                 "[required-nonzero-counter | hist:NAME ...]\n");
+                 "[required-nonzero-counter | hist:NAME ...]\n"
+                 "       lamo_report_check <trace.json>\n");
     return 2;
   }
   return lamo::Check(argv[1], argc - 2, argv + 2);
