@@ -12,7 +12,7 @@
 
 #include "core/lamofinder.h"
 #include "core/occurrence_similarity.h"
-#include "motif/uniqueness.h"
+#include "motif/esu_finder.h"
 #include "predict/dataset_context.h"
 #include "predict/evaluation.h"
 #include "predict/labeled_motif_predictor.h"
@@ -36,10 +36,10 @@ int main() {
   const SyntheticDataset dataset = BuildSyntheticDataset(config);
 
   MotifFindingConfig motif_config;
-  motif_config.miner.min_size = 4;
-  motif_config.miner.max_size = 5;
-  motif_config.miner.min_frequency = 25;
-  motif_config.uniqueness.num_random_networks = 8;
+  motif_config.min_size = 4;
+  motif_config.max_size = 5;
+  motif_config.min_frequency = 25;
+  motif_config.num_random_networks = 8;
   motif_config.uniqueness_threshold = 0.95;
   const auto motifs = FindNetworkMotifs(dataset.ppi, motif_config);
 

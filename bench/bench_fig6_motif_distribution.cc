@@ -16,7 +16,7 @@
 #include <map>
 
 #include "core/lamofinder.h"
-#include "motif/uniqueness.h"
+#include "motif/esu_finder.h"
 #include "synth/dataset.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
@@ -64,12 +64,11 @@ int main(int argc, char** argv) {
             << num_proteins << " proteins (paper: 3554 / 4141)\n\n";
 
   MotifFindingConfig motif_config;
-  motif_config.miner.min_size = 3;
-  motif_config.miner.max_size = max_size;
-  motif_config.miner.min_frequency = min_frequency;
-  motif_config.miner.max_occurrences_per_pattern = 20000;
-  motif_config.miner.max_patterns_per_level = 60;
-  motif_config.uniqueness.num_random_networks = 10;
+  motif_config.min_size = 3;
+  motif_config.max_size = max_size;
+  motif_config.min_frequency = min_frequency;
+  motif_config.max_occurrences_per_pattern = 20000;
+  motif_config.num_random_networks = 10;
   motif_config.uniqueness_threshold = 0.95;
   const auto motifs = FindNetworkMotifs(dataset.ppi, motif_config);
   std::cout << "network motifs (freq >= " << min_frequency

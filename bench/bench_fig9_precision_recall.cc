@@ -21,7 +21,7 @@
 #include <memory>
 
 #include "core/lamofinder.h"
-#include "motif/uniqueness.h"
+#include "motif/esu_finder.h"
 #include "obs/json.h"
 #include "predict/chi_square.h"
 #include "predict/dataset_context.h"
@@ -73,10 +73,10 @@ int main(int argc, char** argv) {
             << dataset.categories.size() << " top categories\n";
 
   MotifFindingConfig motif_config;
-  motif_config.miner.min_size = 4;
-  motif_config.miner.max_size = 5;
-  motif_config.miner.min_frequency = 30;
-  motif_config.uniqueness.num_random_networks = 10;
+  motif_config.min_size = 4;
+  motif_config.max_size = 5;
+  motif_config.min_frequency = 30;
+  motif_config.num_random_networks = 10;
   motif_config.uniqueness_threshold = 0.95;
   const auto motifs = FindNetworkMotifs(dataset.ppi, motif_config);
 

@@ -6,7 +6,6 @@
 #include "core/paper_example.h"
 #include "graph/canonical.h"
 #include "graph/generators.h"
-#include "graph/isomorphism.h"
 #include "motif/esu.h"
 
 namespace lamo {
@@ -94,20 +93,6 @@ void BM_CanonicalizeClique(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CanonicalizeClique)->Arg(8)->Arg(16)->Arg(24);
-
-void BM_Vf2CountOccurrences(benchmark::State& state) {
-  Rng rng(17);
-  const Graph g = DuplicationDivergence(1000, 0.3, 0.15, rng);
-  SmallGraph square(4);
-  square.AddEdge(0, 1);
-  square.AddEdge(1, 2);
-  square.AddEdge(2, 3);
-  square.AddEdge(3, 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CountOccurrences(square, g));
-  }
-}
-BENCHMARK(BM_Vf2CountOccurrences);
 
 void BM_EsuEnumerate(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "core/lamofinder.h"
-#include "motif/uniqueness.h"
+#include "motif/esu_finder.h"
 #include "serve/snapshot.h"
 #include "serve/update.h"
 #include "synth/dataset.h"
@@ -64,10 +64,10 @@ int main(int argc, char** argv) {
   // seeds the snapshot the updates run against.
   const auto remine_start = Clock::now();
   MotifFindingConfig motif_config;
-  motif_config.miner.min_size = 3;
-  motif_config.miner.max_size = 4;
-  motif_config.miner.min_frequency = 15;
-  motif_config.uniqueness.num_random_networks = 4;
+  motif_config.min_size = 3;
+  motif_config.max_size = 4;
+  motif_config.min_frequency = 15;
+  motif_config.num_random_networks = 4;
   motif_config.uniqueness_threshold = 0.8;
   const auto motifs = FindNetworkMotifs(dataset.ppi, motif_config);
   LaMoFinder finder(dataset.ontology, dataset.weights, dataset.informative,

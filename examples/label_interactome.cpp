@@ -10,7 +10,7 @@
 
 #include "core/lamofinder.h"
 #include "graph/algorithms.h"
-#include "motif/uniqueness.h"
+#include "motif/esu_finder.h"
 #include "synth/dataset.h"
 #include "util/timer.h"
 
@@ -52,11 +52,11 @@ int main(int argc, char** argv) {
 
   // 2. Tasks 1 + 2: repeated and unique subgraphs.
   MotifFindingConfig motif_config;
-  motif_config.miner.min_size = 3;
-  motif_config.miner.max_size = max_size;
-  motif_config.miner.min_frequency = min_freq;
-  motif_config.miner.max_occurrences_per_pattern = 20000;
-  motif_config.uniqueness.num_random_networks = 10;
+  motif_config.min_size = 3;
+  motif_config.max_size = max_size;
+  motif_config.min_frequency = min_freq;
+  motif_config.max_occurrences_per_pattern = 20000;
+  motif_config.num_random_networks = 10;
   motif_config.uniqueness_threshold = 0.95;
   const auto motifs = FindNetworkMotifs(dataset.ppi, motif_config);
   std::printf("network motifs (freq >= %zu, uniq > 0.95): %zu  [%.1fs]\n",

@@ -11,7 +11,7 @@
 
 #include "core/lamofinder.h"
 #include "core/parallel_labels.h"
-#include "motif/uniqueness.h"
+#include "motif/esu_finder.h"
 #include "synth/multi_branch.h"
 
 namespace {
@@ -48,10 +48,10 @@ int main(int argc, char** argv) {
               dataset.ppi.ToString().c_str());
 
   MotifFindingConfig motif_config;
-  motif_config.miner.min_size = 4;
-  motif_config.miner.max_size = 5;
-  motif_config.miner.min_frequency = 25;
-  motif_config.uniqueness.num_random_networks = 8;
+  motif_config.min_size = 4;
+  motif_config.max_size = 5;
+  motif_config.min_frequency = 25;
+  motif_config.num_random_networks = 8;
   motif_config.uniqueness_threshold = 0.95;
   const auto motifs = FindNetworkMotifs(dataset.ppi, motif_config);
   std::printf("network motifs: %zu\n\n", motifs.size());

@@ -1,17 +1,15 @@
-// Network motif mining demo: exhaustive ESU enumeration, the level-wise
-// NeMoFinder-style miner, and the mfinder-style sampling estimator, cross-
-// checked against each other on one network (Tasks 1-2 of the paper).
+// Network motif mining demo: exhaustive ESU enumeration against the RAND-ESU
+// sampling estimator on one network, then Tasks 1-2 of the paper (repeated
+// and unique subgraphs) through the motif-finding route.
 //
 // Usage: mine_motifs [--proteins N] [--size K]
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-#include "graph/canonical.h"
 #include "graph/generators.h"
 #include "motif/esu.h"
-#include "motif/miner.h"
-#include "motif/uniqueness.h"
+#include "motif/esu_finder.h"
 #include "util/timer.h"
 
 int main(int argc, char** argv) {
@@ -38,24 +36,8 @@ int main(int argc, char** argv) {
   std::printf("ESU: %zu size-%zu classes, %zu connected sets  [%.2fs]\n",
               exact.size(), k, exact_total, timer.ElapsedSeconds());
 
-  // 2. Level-wise miner restricted to frequent classes.
-  timer.Reset();
-  MinerConfig miner_config;
-  miner_config.min_size = k;
-  miner_config.max_size = k;
-  miner_config.min_frequency = 20;
-  const auto motifs = FrequentSubgraphMiner(g, miner_config).Mine();
-  std::printf("miner: %zu classes with frequency >= 20  [%.2fs]\n",
-              motifs.size(), timer.ElapsedSeconds());
-  for (const Motif& m : motifs) {
-    const auto it = exact.find(m.code);
-    std::printf("  %-40s  miner=%zu  esu=%zu  %s\n", m.ToString().c_str(),
-                m.frequency, it == exact.end() ? 0 : it->second,
-                (it != exact.end() && it->second == m.frequency) ? "OK"
-                                                                 : "MISMATCH");
-  }
-
-  // 3. Sampling estimator (RAND-ESU / mfinder style).
+  // 2. RAND-ESU: the same enumeration tree with the two deepest levels
+  // sampled; each sample is weighted by 1 / P(sampled).
   timer.Reset();
   Rng sample_rng(11);
   std::vector<double> probabilities(k, 1.0);
@@ -63,20 +45,36 @@ int main(int argc, char** argv) {
   probabilities[k - 2] = 0.5;
   const auto sampled = SampleSubgraphClasses(g, k, probabilities, sample_rng);
   std::printf(
-      "\nsampling: %zu sets sampled, estimated total %.0f (exact %zu)  "
+      "RAND-ESU: %zu sets sampled, estimated total %.0f (exact %zu)  "
       "[%.2fs]\n",
       sampled.samples, sampled.estimated_total, exact_total,
       timer.ElapsedSeconds());
+  size_t class_index = 0;
+  for (const auto& [code, count] : exact) {
+    const auto it = sampled.estimated_counts.find(code);
+    const double estimate =
+        it == sampled.estimated_counts.end() ? 0.0 : it->second;
+    std::printf("  class %2zu  exact %8zu  estimated %10.0f\n", class_index++,
+                count, estimate);
+  }
 
-  // 4. Uniqueness of the frequent classes.
+  // 3. Repeated (frequency >= 20) and unique (against 10 rewired networks)
+  // size-k classes: the network motifs the labeling stage consumes.
   timer.Reset();
-  std::vector<Motif> scored = motifs;
-  UniquenessConfig uniq;
-  uniq.num_random_networks = 10;
-  EvaluateUniqueness(g, uniq, &scored);
-  std::printf("\nuniqueness against 10 rewired networks:\n");
-  for (const Motif& m : scored) {
-    std::printf("  freq %6zu  uniqueness %.2f  %s\n", m.frequency,
+  MotifFindingConfig config;
+  config.min_size = k;
+  config.max_size = k;
+  config.min_frequency = 20;
+  config.num_random_networks = 10;
+  config.uniqueness_threshold = -1;  // report every frequent class
+  const auto motifs = FindNetworkMotifs(g, config);
+  std::printf("\n%zu classes with frequency >= 20, uniqueness against 10 "
+              "rewired networks:\n",
+              motifs.size());
+  for (const Motif& m : motifs) {
+    const auto it = exact.find(m.code);
+    std::printf("  %-40s  esu=%zu  uniqueness %.2f  %s\n",
+                m.ToString().c_str(), it == exact.end() ? 0 : it->second,
                 m.uniqueness, m.uniqueness > 0.95 ? "MOTIF" : "");
   }
   std::printf("[%.2fs]\n", timer.ElapsedSeconds());

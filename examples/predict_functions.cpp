@@ -7,7 +7,7 @@
 #include <cstring>
 
 #include "core/lamofinder.h"
-#include "motif/uniqueness.h"
+#include "motif/esu_finder.h"
 #include "predict/chi_square.h"
 #include "predict/dataset_context.h"
 #include "predict/evaluation.h"
@@ -40,10 +40,10 @@ int main(int argc, char** argv) {
 
   // Mine and label motifs.
   MotifFindingConfig motif_config;
-  motif_config.miner.min_size = 4;
-  motif_config.miner.max_size = 5;
-  motif_config.miner.min_frequency = 30;
-  motif_config.uniqueness.num_random_networks = 10;
+  motif_config.min_size = 4;
+  motif_config.max_size = 5;
+  motif_config.min_frequency = 30;
+  motif_config.num_random_networks = 10;
   motif_config.uniqueness_threshold = 0.95;  // the paper's motif criterion
   const auto motifs = FindNetworkMotifs(dataset.ppi, motif_config);
 

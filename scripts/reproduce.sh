@@ -63,7 +63,7 @@ build/bench/bench_scaling \
 echo "== run reports (lamo mine/label --report) =="
 build/tools/lamo generate --proteins 500 --copies 40 --seed 11 \
   --out "$OUT/obs_ds" > /dev/null
-build/tools/lamo mine --graph "$OUT/obs_ds.graph.txt" --algo esu \
+build/tools/lamo mine --graph "$OUT/obs_ds.graph.txt" \
   --min-size 3 --max-size 4 --min-freq 20 --networks 5 --uniqueness 0.8 \
   --report "$OUT/mine_report.json" --stats \
   --trace "$OUT/mine_trace.json" \
@@ -242,14 +242,14 @@ LAMO_THREADS=4 ./build-asan/tests/io_tests
 LAMO_THREADS=4 ./build-asan/tests/router_tests
 LAMO_THREADS=4 ./build-asan/tests/predict_tests
 
-# Fault-injection smoke: crash the level-wise miner mid-run with LAMO_FAULT,
+# Fault-injection smoke: crash the ESU enumeration mid-run with LAMO_FAULT,
 # resume from the checkpoint, and require byte-identical output — the full
 # crash matrix over every registered fault point runs in ctest
 # (`ctest -L fault`), this is the one-command sanity check.
 echo "== fault smoke (crash + resume, byte-identical) =="
 rm -rf "$OUT/fault_ck"
 rc=0
-LAMO_FAULT="mine.level:2" build/tools/lamo mine \
+LAMO_FAULT="mine.enum.chunk:2" build/tools/lamo mine \
   --graph "$OUT/obs_ds.graph.txt" --min-size 3 --max-size 4 --min-freq 20 \
   --checkpoint "$OUT/fault_ck" --out "$OUT/fault_motifs.txt" \
   > /dev/null 2>&1 || rc=$?

@@ -17,11 +17,10 @@ namespace lamo {
 /// ESU algorithm, Wernicke 2006). Each set is emitted exactly once, in
 /// ascending vertex order. Return false from the callback to stop early.
 ///
-/// ESU is the exhaustive ground truth we cross-check the level-wise
-/// NeMoFinder-style miner against (practical for k <= ~6 on PPI-scale
-/// networks). Runs on the index-centric engine (a GraphIndex is built
-/// internally); use the GraphIndex overload below to amortize the index
-/// across many calls.
+/// ESU is the enumeration behind the motif-finding route (esu_finder.h),
+/// practical for k <= ~7 on PPI-scale networks. Runs on the index-centric
+/// engine (a GraphIndex is built internally); use the GraphIndex overload
+/// below to amortize the index across many calls.
 void EnumerateConnectedSubgraphs(
     const Graph& g, size_t k,
     const std::function<bool(const std::vector<VertexId>&)>& callback);
@@ -64,24 +63,20 @@ std::map<std::vector<uint8_t>, size_t> CountSubgraphClasses(const Graph& g,
 std::map<std::vector<uint8_t>, size_t> CountSubgraphClasses(
     const Graph& g, size_t k, SharedCanonCache* shared_canon);
 
-namespace internal {
-
-/// Test-only hook: the pre-index, pointer-chasing ESU walk (adjacency
-/// probes through Graph::HasEdge, per-node vector copies). Kept solely so
-/// the differential battery can diff the index-centric engine against the
-/// original in-process; production paths never call it.
-void EnumerateConnectedSubgraphsLegacy(
-    const Graph& g, size_t k,
-    const std::function<bool(const std::vector<VertexId>&)>& callback);
-
-}  // namespace internal
-
 /// RAND-ESU (Wernicke): each branch of the ESU tree is explored with the
 /// per-depth probability from `probabilities` (size k; product = sampling
-/// fraction). Unbiased estimates of subgraph-class *concentrations* are
-/// obtained by weighting each sample by 1/P(sampled). This is the
-/// mfinder-style sampling estimator of Kashtan et al. (2004) in its
-/// corrected ESU form.
+/// fraction): one coin per root at depth 0, one per extension candidate at
+/// every deeper level. Runs serially on the index engine under a sampling
+/// policy (esu_engine.h); the emitted sets arrive ascending, in exhaustive
+/// ESU order with the unsampled branches left out.
+void SampleConnectedSubgraphs(
+    const GraphIndex& index, size_t k, const std::vector<double>& probabilities,
+    Rng& rng,
+    const std::function<bool(const std::vector<VertexId>&)>& callback);
+
+/// Unbiased estimates of subgraph-class *concentrations* from the RAND-ESU
+/// sample, each sample weighted by 1/P(sampled). This is the mfinder-style
+/// sampling estimator of Kashtan et al. (2004) in its corrected ESU form.
 struct SampledSubgraphCounts {
   /// Estimated total number of connected size-k sets.
   double estimated_total = 0;
@@ -91,6 +86,9 @@ struct SampledSubgraphCounts {
   size_t samples = 0;
 };
 
+SampledSubgraphCounts SampleSubgraphClasses(
+    const GraphIndex& index, size_t k, const std::vector<double>& probabilities,
+    Rng& rng);
 SampledSubgraphCounts SampleSubgraphClasses(
     const Graph& g, size_t k, const std::vector<double>& probabilities,
     Rng& rng);

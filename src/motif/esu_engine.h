@@ -13,10 +13,18 @@
 namespace lamo {
 namespace esu_internal {
 
+/// Exhaustive exploration policy: every branch of the ESU tree is walked.
+/// Engines instantiated with it carry no sampling code at all (the policy
+/// is tested with `if constexpr`).
+struct ExploreAll {
+  static constexpr bool kExhaustive = true;
+  static constexpr bool Explore(size_t /*depth*/) { return true; }
+};
+
 /// Allocation-free ESU walk over a GraphIndex — the index-centric successor
-/// of the pointer-chasing EsuEnumerator in esu.cc (kept there as the
-/// legacy reference the differential battery diffs against). Same recursion
-/// tree, same emission order, zero heap traffic per tree node:
+/// of the pointer-chasing recursive walk (tests/oracle/legacy_esu.cc keeps
+/// it as the reference the differential battery diffs against). Same
+/// recursion tree, same emission order, zero heap traffic per tree node:
 ///
 ///  * the per-node `next_extension` vector copies become appends to one
 ///    flat extension stack addressed by (begin, end) index frames;
@@ -50,17 +58,24 @@ namespace esu_internal {
 ///    of the copying recursive walk that tests/motif/pair_kernel_test.cc
 ///    keeps as the oracle and diffs sequences against.
 ///
+/// `Explore` is the branch policy of RunRoots. ExploreAll walks the whole
+/// tree; a sampling policy (RAND-ESU, Wernicke 2006) has kExhaustive false
+/// and Explore(depth) decides per branch: once per root at depth 0, then
+/// once per extension candidate of a size-d subgraph at depth d — the coin
+/// order of the recursive walk, so equal Rng seeds sample equal sets.
+///
 /// `Emit` is invoked as emit(const VertexId* set, size_t k) with the vertex
 /// set in ascending order; returning false aborts the whole enumeration
 /// (matching the public callback contract).
-template <typename Emit>
+template <typename Emit, typename Explore = ExploreAll>
 class Engine {
  public:
-  Engine(const GraphIndex& index, size_t k, Emit emit)
+  Engine(const GraphIndex& index, size_t k, Emit emit, Explore explore = {})
       : index_(index),
         k_(k),
         words_(index.words_per_row()),
         emit_(std::move(emit)),
+        explore_(std::move(explore)),
         subgraph_(k == 0 ? 0 : k),
         sorted_(k == 0 ? 0 : k) {
     if (k_ > 2) {
@@ -81,6 +96,9 @@ class Engine {
     if (k_ == 0 || k_ > n) return true;
     root_end = std::min<VertexId>(root_end, static_cast<VertexId>(n));
     for (VertexId v = root_begin; v < root_end; ++v) {
+      if constexpr (!Explore::kExhaustive) {
+        if (!explore_.Explore(0)) continue;
+      }
       subgraph_[0] = v;
       if (k_ == 1) {
         if (!EmitSet()) return false;
@@ -179,6 +197,9 @@ class Engine {
     if (size + 1 == k_) {
       // Leaf level: each candidate completes a size-k set; no child state.
       for (size_t step = 0; step < count; ++step) {
+        if constexpr (!Explore::kExhaustive) {
+          if (!explore_.Explore(size)) continue;
+        }
         subgraph_[size] =
             extension_[kPair ? ext_end - 1 - step : ext_begin + step];
         if (!EmitSet()) return false;
@@ -187,6 +208,9 @@ class Engine {
     }
     const bool build_forbidden = size + 2 < k_;
     for (size_t step = 0; step < count; ++step) {
+      if constexpr (!Explore::kExhaustive) {
+        if (!explore_.Explore(size)) continue;
+      }
       const size_t i = kPair ? ext_end - 1 - step : ext_begin + step;
       const VertexId w = extension_[i];
       subgraph_[size] = w;
@@ -259,6 +283,7 @@ class Engine {
   const size_t k_;
   const size_t words_;
   Emit emit_;
+  [[no_unique_address]] Explore explore_;
   std::vector<VertexId> subgraph_;  // DFS order, size k
   std::vector<VertexId> sorted_;    // ascending copy for emission
   std::vector<VertexId> extension_;  // flat stack of per-depth frames
@@ -271,6 +296,15 @@ template <typename Emit>
 bool RunEsu(const GraphIndex& index, size_t k, VertexId root_begin,
             VertexId root_end, Emit&& emit) {
   Engine<std::decay_t<Emit>> engine(index, k, std::forward<Emit>(emit));
+  return engine.RunRoots(root_begin, root_end);
+}
+
+/// RunEsu under a branch policy (see Engine): RAND-ESU sampling.
+template <typename Explore, typename Emit>
+bool RunSampledEsu(const GraphIndex& index, size_t k, VertexId root_begin,
+                   VertexId root_end, Explore explore, Emit&& emit) {
+  Engine<std::decay_t<Emit>, Explore> engine(index, k, std::forward<Emit>(emit),
+                                             std::move(explore));
   return engine.RunRoots(root_begin, root_end);
 }
 

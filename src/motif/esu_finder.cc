@@ -34,6 +34,10 @@ const size_t kSpanChunk = ObsSpanId("esu.chunk");
 const size_t kHistReplicateUs = ObsHistogramId("uniqueness.replicate_us");
 const size_t kSpanReplicate = ObsSpanId("uniqueness.replicate");
 
+/// Root-range chunks enumerated between two folds into the run's class map
+/// (see FindNetworkMotifsEsu).
+constexpr size_t kFoldWaveChunks = 32;
+
 /// Crash points, one per checkpoint group of each half (fault.h).
 const size_t kFpEnumChunk = FaultPointId("mine.enum.chunk");
 const size_t kFpUniqReplicate = FaultPointId("mine.uniq.replicate");
@@ -63,20 +67,30 @@ class CanonicalResultCache {
 
 struct ClassEntry {
   SmallGraph pattern{0};
+  /// Exact number of occurrences emitted (the class frequency).
+  size_t count = 0;
+  /// The occurrences in emission order, only the first
+  /// max_occurrences_per_pattern of them when capped.
   std::vector<MotifOccurrence> occurrences;
 };
 using ClassMap = std::map<std::vector<uint8_t>, ClassEntry>;
 
 /// Folds one chunk's class map into the accumulator, appending occurrences
-/// in chunk order (the serial occurrence order for any thread count).
-void MergeClassMap(ClassMap* acc, ClassMap part) {
+/// in chunk order (the serial occurrence order for any thread count) until
+/// `cap` (0 = unlimited) are stored. Every chunk stored its own first `cap`,
+/// so the accumulator holds the first `cap` of the whole emission order.
+/// Whatever is not taken stays behind in `part`.
+void MergeClassMap(ClassMap* acc, ClassMap& part, size_t cap) {
   for (auto& [code, entry] : part) {
     auto [it, inserted] = acc->try_emplace(code, std::move(entry));
     if (!inserted) {
+      it->second.count += entry.count;
       auto& dst = it->second.occurrences;
       auto& src = entry.occurrences;
+      const size_t take =
+          cap == 0 ? src.size() : std::min(src.size(), cap - dst.size());
       dst.insert(dst.end(), std::make_move_iterator(src.begin()),
-                 std::make_move_iterator(src.end()));
+                 std::make_move_iterator(src.begin() + take));
     }
   }
 }
@@ -85,6 +99,7 @@ uint64_t EsuFingerprint(const Graph& graph, const EsuMotifConfig& config) {
   ByteWriter w;
   w.PutU64(config.size);
   w.PutU64(config.min_frequency);
+  w.PutU64(config.max_occurrences_per_pattern);
   w.PutU64(config.num_random_networks);
   w.PutDouble(config.swaps_per_edge);
   w.PutDouble(config.uniqueness_threshold);
@@ -93,14 +108,17 @@ uint64_t EsuFingerprint(const Graph& graph, const EsuMotifConfig& config) {
   return Fnv1a64(w.bytes());
 }
 
-std::string EncodeEnumState(size_t next_root, const ClassMap& classes) {
+std::string EncodeEnumState(size_t next_root, size_t cap,
+                            const ClassMap& classes) {
   ByteWriter w;
   w.PutU64(next_root);
+  w.PutU64(cap);
   w.PutU64(classes.size());
   for (const auto& [code, entry] : classes) {
     w.PutString(std::string_view(reinterpret_cast<const char*>(code.data()),
                                  code.size()));
     EncodeSmallGraph(entry.pattern, &w);
+    w.PutU64(entry.count);
     w.PutU64(entry.occurrences.size());
     for (const MotifOccurrence& occ : entry.occurrences) {
       w.PutU64(occ.proteins.size());
@@ -110,12 +128,15 @@ std::string EncodeEnumState(size_t next_root, const ClassMap& classes) {
   return w.TakeBytes();
 }
 
-Status DecodeEnumState(std::string_view payload, size_t* next_root,
-                       ClassMap* classes) {
+Status DecodeEnumState(std::string_view payload, size_t cap,
+                       size_t* next_root, ClassMap* classes) {
   ByteReader r(payload);
   uint64_t root = 0;
   LAMO_RETURN_IF_ERROR(r.GetU64(&root));
   *next_root = static_cast<size_t>(root);
+  uint64_t saved_cap = 0;
+  LAMO_RETURN_IF_ERROR(r.GetU64(&saved_cap));
+  if (saved_cap != cap) return Status::Corruption("enum occurrence cap differs");
   uint64_t num_classes = 0;
   LAMO_RETURN_IF_ERROR(r.GetU64(&num_classes));
   classes->clear();
@@ -124,8 +145,15 @@ Status DecodeEnumState(std::string_view payload, size_t* next_root,
     LAMO_RETURN_IF_ERROR(r.GetString(&code_bytes));
     ClassEntry entry;
     LAMO_RETURN_IF_ERROR(DecodeSmallGraph(&r, &entry.pattern));
+    uint64_t count = 0;
+    LAMO_RETURN_IF_ERROR(r.GetU64(&count));
+    entry.count = static_cast<size_t>(count);
     uint64_t num_occurrences = 0;
     LAMO_RETURN_IF_ERROR(r.GetU64(&num_occurrences));
+    const uint64_t stored = cap == 0 ? count : std::min<uint64_t>(count, cap);
+    if (num_occurrences != stored) {
+      return Status::Corruption("enum occurrence list disagrees with count");
+    }
     for (uint64_t o = 0; o < num_occurrences; ++o) {
       uint64_t num_proteins = 0;
       LAMO_RETURN_IF_ERROR(r.GetU64(&num_proteins));
@@ -197,6 +225,7 @@ std::vector<Motif> FindNetworkMotifsEsu(const Graph& graph,
   // boundaries are multiples of the grain, so the sub-chunks and their fold
   // order are exactly those of the single full-range reduce, and a resumed
   // run picks up the identical accumulator.
+  const size_t cap = config.max_occurrences_per_pattern;
   ClassMap classes;
   {
     const ScopedTimer timer("esu_enumeration");
@@ -208,7 +237,7 @@ std::vector<Motif> FindNetworkMotifsEsu(const Graph& graph,
       size_t restored_root = 0;
       ClassMap restored;
       const Status status =
-          DecodeEnumState(payload, &restored_root, &restored);
+          DecodeEnumState(payload, cap, &restored_root, &restored);
       if (status.ok() && restored_root <= n &&
           (restored_root % grain == 0 || restored_root == n)) {
         classes = std::move(restored);
@@ -222,68 +251,85 @@ std::vector<Motif> FindNetworkMotifsEsu(const Graph& graph,
     const size_t roots_per_group =
         ckpt.enabled() ? std::max<size_t>(1, config.checkpoint.every) * grain
                        : std::max<size_t>(1, n);
+    // One root-range chunk: its class map, occurrences aligned to the
+    // canonical order, at most `cap` stored per class.
+    const auto enumerate_chunk = [&](size_t lo, size_t hi) {
+      const ScopedItemTimer item(kSpanChunk, kHistChunkUs, lo, hi, 2);
+      ClassMap local;
+      const auto record = [&](const VertexId* set, size_t size,
+                              const CanonicalResult& canon) {
+        auto [it, inserted] = local.try_emplace(canon.code);
+        if (inserted) it->second.pattern = canon.graph;
+        ClassEntry& entry = it->second;
+        ++entry.count;
+        if (cap != 0 && entry.occurrences.size() == cap) return;
+        MotifOccurrence occ;
+        occ.proteins.resize(size);
+        for (size_t pos = 0; pos < size; ++pos) {
+          occ.proteins[pos] = set[canon.canonical_to_original[pos]];
+        }
+        entry.occurrences.push_back(std::move(occ));
+      };
+      if (shared_canon.has_value()) {
+        // Chunk-local L1 in front of the shared table: one hash probe on
+        // the 64-bit adjacency key per emission, one shared lookup per
+        // distinct pattern per chunk. Pointers are stable for the cache's
+        // lifetime, so caching them is safe.
+        std::unordered_map<uint64_t, const CanonicalResult*> memo;
+        esu_internal::RunEsu(
+            index, config.size, static_cast<VertexId>(lo),
+            static_cast<VertexId>(hi), [&](const VertexId* set, size_t size) {
+              ObsIncrement(kObsSubgraphs);
+              const uint64_t bits = index.InducedBits(set, size);
+              auto [it, inserted] = memo.try_emplace(bits, nullptr);
+              if (inserted) {
+                ObsIncrement(kObsCanonMisses);
+                it->second = &shared_canon->Lookup(bits);
+              } else {
+                ObsIncrement(kObsCanonHits);
+              }
+              record(set, size, *it->second);
+              return true;
+            });
+      } else {
+        CanonicalResultCache canon_cache;
+        esu_internal::RunEsu(
+            index, config.size, static_cast<VertexId>(lo),
+            static_cast<VertexId>(hi), [&](const VertexId* set, size_t size) {
+              ObsIncrement(kObsSubgraphs);
+              const SmallGraph sub = SmallGraph::InducedSubgraph(
+                  graph, std::vector<VertexId>(set, set + size));
+              record(set, size, canon_cache.ResultFor(sub));
+              return true;
+            });
+      }
+      return local;
+    };
     for (size_t glo = next_root; glo < n; glo += roots_per_group) {
       FaultHit(kFpEnumChunk);
       const size_t ghi = std::min(n, glo + roots_per_group);
-      const size_t group_chunks = (ghi - glo + grain - 1) / grain;
-      std::vector<ClassMap> partials(group_chunks);
-      ParallelForChunks(glo, ghi, grain, [&](size_t chunk, size_t lo,
-                                             size_t hi) {
-        const ScopedItemTimer item(kSpanChunk, kHistChunkUs, lo, hi, 2);
-        ClassMap local;
-        const auto record = [&](const VertexId* set, size_t size,
-                                const CanonicalResult& canon) {
-          auto [it, inserted] = local.try_emplace(canon.code);
-          if (inserted) it->second.pattern = canon.graph;
-          MotifOccurrence occ;
-          occ.proteins.resize(size);
-          for (size_t pos = 0; pos < size; ++pos) {
-            occ.proteins[pos] = set[canon.canonical_to_original[pos]];
-          }
-          it->second.occurrences.push_back(std::move(occ));
-        };
-        if (shared_canon.has_value()) {
-          // Chunk-local L1 in front of the shared table: one hash probe on
-          // the 64-bit adjacency key per emission, one shared lookup per
-          // distinct pattern per chunk. Pointers are stable for the cache's
-          // lifetime, so caching them is safe.
-          std::unordered_map<uint64_t, const CanonicalResult*> memo;
-          esu_internal::RunEsu(
-              index, config.size, static_cast<VertexId>(lo),
-              static_cast<VertexId>(hi), [&](const VertexId* set, size_t size) {
-                ObsIncrement(kObsSubgraphs);
-                const uint64_t bits = index.InducedBits(set, size);
-                auto [it, inserted] = memo.try_emplace(bits, nullptr);
-                if (inserted) {
-                  ObsIncrement(kObsCanonMisses);
-                  it->second = &shared_canon->Lookup(bits);
-                } else {
-                  ObsIncrement(kObsCanonHits);
-                }
-                record(set, size, *it->second);
-                return true;
-              });
-        } else {
-          CanonicalResultCache canon_cache;
-          esu_internal::RunEsu(
-              index, config.size, static_cast<VertexId>(lo),
-              static_cast<VertexId>(hi), [&](const VertexId* set, size_t size) {
-                ObsIncrement(kObsSubgraphs);
-                const SmallGraph sub = SmallGraph::InducedSubgraph(
-                    graph, std::vector<VertexId>(set, set + size));
-                record(set, size, canon_cache.ResultFor(sub));
-                return true;
-              });
-        }
-        partials[chunk] = std::move(local);
-      });
-      for (ClassMap& part : partials) MergeClassMap(&classes, std::move(part));
-      if (ckpt.enabled()) ckpt.Save(EncodeEnumState(ghi, classes));
+      // A capped run enumerates in waves of kFoldWaveChunks chunks, each
+      // folded in chunk order before the next starts, so it holds at most
+      // one wave of chunk maps beyond `cap` occurrences per class. An
+      // uncapped run keeps every occurrence anyway and folds once per group.
+      // Wave boundaries are multiples of the grain, so the chunks and the
+      // fold order are those of one full-range pass.
+      const size_t wave_roots = cap == 0 ? ghi - glo : kFoldWaveChunks * grain;
+      for (size_t wlo = glo; wlo < ghi; wlo += wave_roots) {
+        const size_t whi = std::min(ghi, wlo + wave_roots);
+        std::vector<ClassMap> partials((whi - wlo + grain - 1) / grain);
+        ParallelForChunks(wlo, whi, grain,
+                          [&](size_t chunk, size_t lo, size_t hi) {
+                            partials[chunk] = enumerate_chunk(lo, hi);
+                          });
+        for (ClassMap& part : partials) MergeClassMap(&classes, part, cap);
+      }
+      if (ckpt.enabled()) ckpt.Save(EncodeEnumState(ghi, cap, classes));
     }
   }
 
   for (auto it = classes.begin(); it != classes.end();) {
-    if (it->second.occurrences.size() < config.min_frequency) {
+    if (it->second.count < config.min_frequency) {
       it = classes.erase(it);
     } else {
       ++it;
@@ -305,7 +351,7 @@ std::vector<Motif> FindNetworkMotifsEsu(const Graph& graph,
     codes.reserve(classes.size());
     for (const auto& [code, entry] : classes) {
       codes.push_back(&code);
-      real_frequencies.push_back(entry.occurrences.size());
+      real_frequencies.push_back(entry.count);
     }
     const StageCheckpointer ckpt(config.checkpoint, "mine_uniq_" + size_tag,
                                  fingerprint);
@@ -381,10 +427,30 @@ std::vector<Motif> FindNetworkMotifsEsu(const Graph& graph,
     Motif motif;
     motif.pattern = entry.pattern;
     motif.code = code;
-    motif.frequency = entry.occurrences.size();
+    motif.frequency = entry.count;
     motif.uniqueness = uniqueness;
     motif.occurrences = std::move(entry.occurrences);
     motifs.push_back(std::move(motif));
+  }
+  return motifs;
+}
+
+std::vector<Motif> FindNetworkMotifs(const Graph& graph,
+                                     const MotifFindingConfig& config) {
+  EsuMotifConfig per_size;
+  per_size.min_frequency = config.min_frequency;
+  per_size.max_occurrences_per_pattern = config.max_occurrences_per_pattern;
+  per_size.num_random_networks = config.num_random_networks;
+  per_size.swaps_per_edge = config.swaps_per_edge;
+  per_size.uniqueness_threshold = config.uniqueness_threshold;
+  per_size.seed = config.seed;
+  per_size.checkpoint = config.checkpoint;
+  std::vector<Motif> motifs;
+  for (size_t size = config.min_size; size <= config.max_size; ++size) {
+    per_size.size = size;
+    for (Motif& motif : FindNetworkMotifsEsu(graph, per_size)) {
+      motifs.push_back(std::move(motif));
+    }
   }
   return motifs;
 }

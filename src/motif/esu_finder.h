@@ -15,6 +15,12 @@ struct EsuMotifConfig {
   size_t size = 4;
   /// Minimum occurrences for a class to be considered repeated.
   size_t min_frequency = 5;
+  /// Memory-control cap on the occurrence list of one class: each
+  /// enumeration chunk stores at most the first N occurrences it emits and
+  /// counts the rest, and the merged list keeps the first N in emission
+  /// order. Frequency and uniqueness always use the exact count.
+  /// 0 = unlimited.
+  size_t max_occurrences_per_pattern = 0;
   /// Randomized networks for the uniqueness test.
   size_t num_random_networks = 10;
   /// Edge swaps per edge when randomizing.
@@ -30,19 +36,47 @@ struct EsuMotifConfig {
   CheckpointOptions checkpoint;
 };
 
-/// The FANMOD/mfinder route to network motifs: exhaustively enumerate all
-/// connected size-k subgraphs with ESU, group them by canonical class, then
-/// score uniqueness by re-enumerating each randomized network once and
-/// comparing *all* class counts simultaneously. For small k this beats the
-/// level-wise miner + per-motif VF2 counting (one enumeration per network
-/// covers every candidate class); the level-wise miner wins when k is large
-/// or only high-frequency patterns matter. The two pipelines cross-validate
-/// each other in tests and are raced in bench_micro.
+/// The FANMOD/mfinder route to network motifs (Tasks 1+2 of the paper):
+/// exhaustively enumerate all connected size-k subgraphs with ESU, group
+/// them by canonical class, keep the classes with at least min_frequency
+/// occurrences, then score uniqueness by re-enumerating each randomized
+/// network once and comparing *all* class counts simultaneously (one
+/// enumeration per network covers every candidate class).
 ///
-/// Occurrences are aligned to the canonical vertex order, so the result
-/// feeds LaMoFinder directly.
+/// Motifs come out in canonical-code order. Occurrences are aligned to the
+/// canonical vertex order, so the result feeds LaMoFinder directly.
 std::vector<Motif> FindNetworkMotifsEsu(const Graph& graph,
                                         const EsuMotifConfig& config);
+
+/// Parameters of FindNetworkMotifs: the EsuMotifConfig fields, with a size
+/// range in place of the single size.
+struct MotifFindingConfig {
+  /// Smallest and largest motif size mined (inclusive).
+  size_t min_size = 3;
+  size_t max_size = 5;
+  /// Minimum occurrences for a class to be considered repeated. The paper
+  /// uses 100 on the BIND yeast network.
+  size_t min_frequency = 100;
+  /// Per-class occurrence-list cap (see EsuMotifConfig). 0 = unlimited.
+  size_t max_occurrences_per_pattern = 0;
+  /// Randomized networks for the uniqueness test, and edge swaps per edge
+  /// when randomizing.
+  size_t num_random_networks = 10;
+  double swaps_per_edge = 3.0;
+  /// Motifs below this uniqueness are discarded (paper: > 0.95). Negative
+  /// keeps every frequent class (uniqueness still reported).
+  double uniqueness_threshold = 0.95;
+  uint64_t seed = 42;
+  /// Crash-safe progress saves, per size (stages "mine_enum_<k>" and
+  /// "mine_uniq_<k>").
+  CheckpointOptions checkpoint;
+};
+
+/// One call for Tasks 1+2 over a size range: FindNetworkMotifsEsu for each
+/// size from min_size to max_size, concatenated in size order. With
+/// num_random_networks 0 every frequent class is kept, uniqueness -1.
+std::vector<Motif> FindNetworkMotifs(const Graph& graph,
+                                     const MotifFindingConfig& config);
 
 }  // namespace lamo
 

@@ -35,8 +35,8 @@ struct Motif {
   /// each.
   std::vector<MotifOccurrence> occurrences;
   /// Frequency |D_g| at mining time. Kept separately because occurrence
-  /// lists may be capped for memory control, in which case frequency records
-  /// the true (or lower-bounded) count.
+  /// lists may be capped for memory control; frequency is always the exact
+  /// count.
   size_t frequency = 0;
   /// Uniqueness s(g): fraction of randomized networks in which g's frequency
   /// in the real network is >= its frequency in the randomized network

@@ -1,73 +1,18 @@
 #ifndef LAMO_MOTIF_UNIQUENESS_H_
 #define LAMO_MOTIF_UNIQUENESS_H_
 
-#include <cstdint>
 #include <vector>
 
-#include "graph/graph.h"
 #include "motif/motif.h"
-#include "util/checkpoint.h"
-#include "util/random.h"
 
 namespace lamo {
 
-/// Parameters of the motif uniqueness test (Task 2 of motif finding).
-struct UniquenessConfig {
-  /// Number of degree-preserving randomized networks to compare against.
-  size_t num_random_networks = 10;
-  /// Edge swaps per edge when randomizing.
-  double swaps_per_edge = 3.0;
-  /// Seed for the randomization ensemble.
-  uint64_t seed = 42;
-  /// Crash-safe progress saves per replicate group (stage "uniqueness").
-  /// Replicate r always draws Rng::Stream(seed, r), so a resumed ensemble
-  /// is byte-identical to an uninterrupted one.
-  CheckpointOptions checkpoint;
-};
-
-/// Evaluates the uniqueness s(g) of each motif in place: the number of
-/// randomized networks in which g's real-network frequency is greater than
-/// or equal to its frequency in the randomized network, over the total
-/// number of randomized networks [Milo et al. 2002; Section 5.1 of the
-/// paper]. Counting in each randomized network stops as soon as the real
-/// frequency is exceeded, so rare patterns are cheap to test.
-///
-/// The ensemble runs on the parallel runtime, one randomized network per
-/// task; replicate r draws from the deterministic substream
-/// Rng::Stream(config.seed, r), so scores are reproducible and independent
-/// of the thread count.
-void EvaluateUniqueness(const Graph& graph, const UniquenessConfig& config,
-                        std::vector<Motif>* motifs);
-
 /// Keeps only motifs with uniqueness >= `threshold` (the paper keeps
-/// > 0.95).
+/// > 0.95). Uniqueness s(g) is the fraction of degree-preserving randomized
+/// networks in which g's real-network frequency is greater than or equal to
+/// its frequency in the randomized network [Milo et al. 2002; Section 5.1
+/// of the paper]; FindNetworkMotifsEsu (esu_finder.h) scores it.
 std::vector<Motif> FilterUnique(std::vector<Motif> motifs, double threshold);
-
-/// One-call facade for Tasks 1+2: mines frequent patterns (miner.h) and
-/// filters them by uniqueness, returning the network motifs the labeling
-/// stage consumes.
-struct MotifFindingConfig;
-std::vector<Motif> FindNetworkMotifs(const Graph& graph,
-                                     const struct MotifFindingConfig& config);
-
-/// Combined configuration for FindNetworkMotifs.
-struct MotifFindingConfig {
-  /// Mining parameters (frequency threshold etc.).
-  struct MinerParams {
-    size_t min_size = 3;
-    size_t max_size = 10;
-    size_t min_frequency = 100;
-    size_t max_occurrences_per_pattern = 50000;
-    size_t max_patterns_per_level = 0;
-  } miner;
-  /// Uniqueness parameters.
-  UniquenessConfig uniqueness;
-  /// Motifs below this uniqueness are discarded (paper: > 0.95).
-  double uniqueness_threshold = 0.95;
-  /// Checkpointing, forwarded to both the miner ("mine_levels" stage) and
-  /// the uniqueness ensemble ("uniqueness" stage).
-  CheckpointOptions checkpoint;
-};
 
 }  // namespace lamo
 

@@ -39,6 +39,10 @@ expect_usage_error "predict unknown flag" predict --graph x --protien 1
 expect_usage_error "pack unknown flag" pack --graph x --output y
 expect_usage_error "serve unknown flag" serve --snapshot x --daemonize
 
+# Flags of the removed level-wise mining route: one route, no selector.
+expect_usage_error "mine --algo" mine --graph x --algo esu
+expect_usage_error "mine --beam" mine --graph x --beam 60
+
 # Missing flag values (flag at end of line or followed by another flag).
 expect_usage_error "missing value at end" predict --protein
 expect_usage_error "missing value before flag" mine --graph --min-size 3

@@ -27,7 +27,7 @@ trap cleanup EXIT
 
 "$LAMO" generate --proteins 300 --copies 30 --seed 5 --out "$WORK/ds" \
   > /dev/null
-"$LAMO" mine --graph "$WORK/ds.graph.txt" --algo esu --min-size 3 \
+"$LAMO" mine --graph "$WORK/ds.graph.txt" --min-size 3 \
   --max-size 3 --min-freq 15 --networks 4 --uniqueness 0.8 \
   --out "$WORK/motifs.txt" > /dev/null
 "$LAMO" label --graph "$WORK/ds.graph.txt" --obo "$WORK/ds.obo" \

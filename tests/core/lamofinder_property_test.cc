@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/lamofinder.h"
-#include "motif/miner.h"
+#include "motif/esu_finder.h"
 #include "synth/dataset.h"
 
 namespace lamo {
@@ -30,12 +30,12 @@ RunResult RunPipeline(uint64_t seed) {
   dataset_config.seed = seed;
   result.dataset = BuildSyntheticDataset(dataset_config);
 
-  MinerConfig miner_config;
-  miner_config.min_size = 3;
-  miner_config.max_size = 4;
-  miner_config.min_frequency = 15;
-  result.motifs =
-      FrequentSubgraphMiner(result.dataset.ppi, miner_config).Mine();
+  MotifFindingConfig motif_config;
+  motif_config.min_size = 3;
+  motif_config.max_size = 4;
+  motif_config.min_frequency = 15;
+  motif_config.num_random_networks = 0;  // every frequent class
+  result.motifs = FindNetworkMotifs(result.dataset.ppi, motif_config);
   for (Motif& m : result.motifs) m.uniqueness = 1.0;
 
   result.config.sigma = 6;

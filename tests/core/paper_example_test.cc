@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/automorphism.h"
-#include "graph/isomorphism.h"
+#include "oracle/isomorphism.h"
 #include "util/string_util.h"
 
 namespace lamo {

@@ -25,42 +25,53 @@ FAULT_EXIT=42  # kFaultExitCode: proves the abort came from the armed point
 # Uninterrupted baselines, one per pipeline the matrix drives. Baselines run
 # WITHOUT checkpointing, so the matrix also proves that checkpointed and
 # resumed runs reproduce the plain run byte for byte.
-LW_FLAGS="--graph $WORK/ds.graph.txt --min-size 3 --max-size 4 --min-freq 15"
-ESU_FLAGS="--graph $WORK/ds.graph.txt --algo esu --min-size 3 --max-size 3 \
+ESU_FLAGS="--graph $WORK/ds.graph.txt --min-size 3 --max-size 4 \
   --min-freq 15 --networks 4 --seed 9"
 LABEL_FLAGS="--graph $WORK/ds.graph.txt --obo $WORK/ds.obo \
   --annotations $WORK/ds.annotations.tsv --sigma 6"
 
-"$LAMO" mine $LW_FLAGS --out "$WORK/base_lw.txt" > /dev/null 2>&1
 "$LAMO" mine $ESU_FLAGS --out "$WORK/base_esu.txt" > /dev/null 2>&1
-"$LAMO" label $LABEL_FLAGS --motifs "$WORK/base_lw.txt" \
+"$LAMO" label $LABEL_FLAGS --motifs "$WORK/base_esu.txt" \
   --out "$WORK/base_label.txt" > /dev/null 2>&1
+
+# fail <message> <stderr files...>: reports the failure with the tail of
+# each run's stderr, so a failing case names its cause.
+fail() {
+  echo "FAIL: $1" >&2
+  shift
+  for log in "$@"; do
+    [ -f "$log" ] || continue
+    echo "--- tail of $log:" >&2
+    tail -n 20 "$log" >&2
+  done
+  exit 1
+}
 
 # run_case <point> <spec> <expected_exit> <baseline> <command...>
 # Arms <spec>, expects the run to exit with <expected_exit>, then reruns
-# with --resume and compares the output against <baseline>.
+# with --resume and compares the output against <baseline>. Each run's
+# stderr is kept in $WORK.
 run_case() {
   point="$1"; spec="$2"; want_exit="$3"; baseline="$4"; shift 4
   ck="$WORK/ck_$point"
   out="$WORK/out_$point.txt"
-  rm -rf "$ck" "$out"
+  armed_err="$WORK/err_$point.armed.txt"
+  resume_err="$WORK/err_$point.resume.txt"
+  rm -rf "$ck" "$out" "$armed_err" "$resume_err"
   rc=0
   LAMO_FAULT="$spec" "$@" --checkpoint "$ck" --out "$out" \
-    > /dev/null 2>&1 || rc=$?
+    > /dev/null 2> "$armed_err" || rc=$?
   if [ "$rc" -ne "$want_exit" ]; then
-    echo "FAIL: $point: armed run exited $rc, expected $want_exit" >&2
-    exit 1
+    fail "$point: armed run exited $rc, expected $want_exit" "$armed_err"
   fi
   if [ "$want_exit" -ne 0 ]; then
-    "$@" --checkpoint "$ck" --resume --out "$out" > /dev/null 2>&1 || {
-      echo "FAIL: $point: resume run failed" >&2
-      exit 1
-    }
+    "$@" --checkpoint "$ck" --resume --out "$out" \
+      > /dev/null 2> "$resume_err" ||
+      fail "$point: resume run failed" "$armed_err" "$resume_err"
   fi
-  cmp "$baseline" "$out" || {
-    echo "FAIL: $point: resumed output differs from uninterrupted run" >&2
-    exit 1
-  }
+  cmp "$baseline" "$out" ||
+    fail "$point: resumed output differs from uninterrupted run" \
+      "$armed_err" "$resume_err"
   leftovers="$(find "$ck" "$WORK" -maxdepth 1 -name '*.tmp' 2> /dev/null)"
   if [ -n "$leftovers" ]; then
     echo "FAIL: $point: tmp files left behind: $leftovers" >&2
@@ -103,29 +114,25 @@ test -n "$POINTS" || {
 for point in $POINTS; do
   case "$point" in
     mine.enum.chunk | mine.uniq.replicate)
-      # ESU route: crash on the 2nd hit so at least one checkpoint exists.
+      # Crash on the 2nd hit so at least one checkpoint exists.
       run_case "$point" "$point:2" "$FAULT_EXIT" "$WORK/base_esu.txt" \
         "$LAMO" mine $ESU_FLAGS
-      ;;
-    mine.level | uniqueness.replicate)
-      run_case "$point" "$point:2" "$FAULT_EXIT" "$WORK/base_lw.txt" \
-        "$LAMO" mine $LW_FLAGS
       ;;
     atomic.write | atomic.pre_rename)
       # Crash inside the atomic-write machinery itself (mid checkpoint or
       # mid final output): the interrupted file must never be observed torn.
-      run_case "$point" "$point:2" "$FAULT_EXIT" "$WORK/base_lw.txt" \
-        "$LAMO" mine $LW_FLAGS
+      run_case "$point" "$point:2" "$FAULT_EXIT" "$WORK/base_esu.txt" \
+        "$LAMO" mine $ESU_FLAGS
       ;;
     checkpoint.save)
       # A failing checkpoint save is NON-fatal: the run must finish with
       # exit 0 and correct output, just without that checkpoint.
-      run_case "$point" "$point:1:error" 0 "$WORK/base_lw.txt" \
-        "$LAMO" mine $LW_FLAGS
+      run_case "$point" "$point:1:error" 0 "$WORK/base_esu.txt" \
+        "$LAMO" mine $ESU_FLAGS
       ;;
     label.motif)
       run_case "$point" "$point:2" "$FAULT_EXIT" "$WORK/base_label.txt" \
-        "$LAMO" label $LABEL_FLAGS --motifs "$WORK/base_lw.txt"
+        "$LAMO" label $LABEL_FLAGS --motifs "$WORK/base_esu.txt"
       ;;
     router.forward)
       # Injected transport error on the router's forward path: the request
@@ -234,13 +241,15 @@ done
 # (resumed_chunks <= total_chunks, writes == fsyncs).
 rm -rf "$WORK/ck_report"
 rc=0
-LAMO_FAULT="mine.level:2" "$LAMO" mine $LW_FLAGS \
+LAMO_FAULT="mine.enum.chunk:2" "$LAMO" mine $ESU_FLAGS \
   --checkpoint "$WORK/ck_report" --out "$WORK/report_out.txt" \
-  > /dev/null 2>&1 || rc=$?
-test "$rc" -eq "$FAULT_EXIT"
-"$LAMO" mine $LW_FLAGS --checkpoint "$WORK/ck_report" --resume \
+  > /dev/null 2> "$WORK/err_report.armed.txt" || rc=$?
+test "$rc" -eq "$FAULT_EXIT" ||
+  fail "resume report: armed run exited $rc" "$WORK/err_report.armed.txt"
+"$LAMO" mine $ESU_FLAGS --checkpoint "$WORK/ck_report" --resume \
   --report "$WORK/resume_report.json" --out "$WORK/report_out.txt" \
-  > /dev/null 2>&1
+  > /dev/null 2> "$WORK/err_report.resume.txt" ||
+  fail "resume report: resume run failed" "$WORK/err_report.resume.txt"
 "$REPORT_CHECK" "$WORK/resume_report.json" checkpoint.writes \
   checkpoint.resumed_chunks > /dev/null
 
@@ -248,19 +257,20 @@ test "$rc" -eq "$FAULT_EXIT"
 # flip one byte in the saved checkpoint and verify output is still exact.
 rm -rf "$WORK/ck_corrupt"
 rc=0
-LAMO_FAULT="mine.level:2" "$LAMO" mine $LW_FLAGS \
+LAMO_FAULT="mine.enum.chunk:2" "$LAMO" mine $ESU_FLAGS \
   --checkpoint "$WORK/ck_corrupt" --out "$WORK/corrupt_out.txt" \
-  > /dev/null 2>&1 || rc=$?
-test "$rc" -eq "$FAULT_EXIT"
-CKPT="$WORK/ck_corrupt/mine_levels.ckpt"
-test -s "$CKPT"
+  > /dev/null 2> "$WORK/err_corrupt.armed.txt" || rc=$?
+test "$rc" -eq "$FAULT_EXIT" ||
+  fail "corrupt checkpoint: armed run exited $rc" "$WORK/err_corrupt.armed.txt"
+CKPT="$WORK/ck_corrupt/mine_enum_3.ckpt"
+test -s "$CKPT" || fail "corrupt checkpoint: no $CKPT saved"
 printf 'X' | dd of="$CKPT" bs=1 seek=30 conv=notrunc 2> /dev/null
-"$LAMO" mine $LW_FLAGS --checkpoint "$WORK/ck_corrupt" --resume \
-  --out "$WORK/corrupt_out.txt" > /dev/null 2>&1
-cmp "$WORK/base_lw.txt" "$WORK/corrupt_out.txt" || {
-  echo "FAIL: resume after checkpoint corruption produced wrong output" >&2
-  exit 1
-}
+"$LAMO" mine $ESU_FLAGS --checkpoint "$WORK/ck_corrupt" --resume \
+  --out "$WORK/corrupt_out.txt" > /dev/null 2> "$WORK/err_corrupt.resume.txt" ||
+  fail "corrupt checkpoint: resume run failed" "$WORK/err_corrupt.resume.txt"
+cmp "$WORK/base_esu.txt" "$WORK/corrupt_out.txt" ||
+  fail "resume after checkpoint corruption produced wrong output" \
+    "$WORK/err_corrupt.resume.txt"
 
 echo "fault matrix OK: every fault point crash-resumed to byte-identical" \
   "output, checkpoint corruption forced a clean restart"

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/lamofinder.h"
-#include "motif/uniqueness.h"
+#include "motif/esu_finder.h"
 #include "predict/dataset_context.h"
 #include "predict/evaluation.h"
 #include "predict/labeled_motif_predictor.h"
@@ -30,11 +30,11 @@ class PipelineTest : public ::testing::Test {
     dataset_ = new SyntheticDataset(BuildSyntheticDataset(config));
 
     MotifFindingConfig motif_config;
-    motif_config.miner.min_size = 3;
-    motif_config.miner.max_size = 4;
-    motif_config.miner.min_frequency = 25;
-    motif_config.miner.max_occurrences_per_pattern = 5000;
-    motif_config.uniqueness.num_random_networks = 5;
+    motif_config.min_size = 3;
+    motif_config.max_size = 4;
+    motif_config.min_frequency = 25;
+    motif_config.max_occurrences_per_pattern = 5000;
+    motif_config.num_random_networks = 5;
     motif_config.uniqueness_threshold = 0.0;  // keep all frequent patterns
     motifs_ = new std::vector<Motif>(
         FindNetworkMotifs(dataset_->ppi, motif_config));

@@ -7,7 +7,7 @@
 //     graphs of every density.
 //  2. The index-centric engine (CSR + dense bitset, and its sparse
 //     CSR-only fallback) versus the original pointer-chasing walk it
-//     replaced, kept as internal::EnumerateConnectedSubgraphsLegacy. These
+//     replaced, kept as the oracle::LegacyEsu test oracle. These
 //     are required to agree on the exact emission *sequence*, not just the
 //     multiset — the pipelines' byte-identical-output guarantee rests on
 //     the emission order being preserved.
@@ -22,6 +22,7 @@
 #include "graph/graph_index.h"
 #include "motif/canon_cache.h"
 #include "motif/esu.h"
+#include "oracle/legacy_esu.h"
 #include "util/random.h"
 
 namespace lamo {
@@ -86,11 +87,11 @@ using SetSequence = std::vector<std::vector<VertexId>>;
 // The exact emission sequence of the original pointer-chasing walk.
 SetSequence LegacySequence(const Graph& g, size_t k) {
   SetSequence sets;
-  internal::EnumerateConnectedSubgraphsLegacy(
-      g, k, [&](const std::vector<VertexId>& set) {
-        sets.push_back(set);
-        return true;
-      });
+  oracle::LegacyEsu(g, k, nullptr, nullptr,
+                    [&](const std::vector<VertexId>& set) {
+                      sets.push_back(set);
+                      return true;
+                    });
   return sets;
 }
 

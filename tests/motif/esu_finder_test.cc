@@ -4,35 +4,10 @@
 
 #include "graph/canonical.h"
 #include "graph/generators.h"
-#include "motif/miner.h"
+#include "motif/esu.h"
 
 namespace lamo {
 namespace {
-
-TEST(EsuFinderTest, AgreesWithLevelWiseMiner) {
-  // Both pipelines must find exactly the same frequent classes with the
-  // same frequencies and aligned occurrences.
-  Rng rng(91);
-  const Graph g = ErdosRenyi(30, 70, rng);
-
-  EsuMotifConfig esu_config;
-  esu_config.size = 4;
-  esu_config.min_frequency = 3;
-  esu_config.num_random_networks = 0;  // keep everything
-  auto esu_motifs = FindNetworkMotifsEsu(g, esu_config);
-
-  MinerConfig miner_config;
-  miner_config.min_size = 4;
-  miner_config.max_size = 4;
-  miner_config.min_frequency = 3;
-  auto miner_motifs = FrequentSubgraphMiner(g, miner_config).Mine();
-
-  ASSERT_EQ(esu_motifs.size(), miner_motifs.size());
-  std::map<std::vector<uint8_t>, size_t> esu_freq, miner_freq;
-  for (const Motif& m : esu_motifs) esu_freq[m.code] = m.frequency;
-  for (const Motif& m : miner_motifs) miner_freq[m.code] = m.frequency;
-  EXPECT_EQ(esu_freq, miner_freq);
-}
 
 TEST(EsuFinderTest, OccurrencesAreAligned) {
   Rng rng(92);
@@ -112,6 +87,45 @@ TEST(EsuFinderTest, Deterministic) {
     EXPECT_EQ(a[i].code, b[i].code);
     EXPECT_EQ(a[i].frequency, b[i].frequency);
     EXPECT_DOUBLE_EQ(a[i].uniqueness, b[i].uniqueness);
+  }
+}
+
+TEST(EsuFinderTest, CappedRunResumesFromItsCheckpoints) {
+  // The occurrence cap and the exact counts travel in the enumeration
+  // checkpoint: a run resumed from a capped run's saves reproduces it, and
+  // a checkpoint written under another cap is not reused.
+  Rng rng(95);
+  const Graph g = BarabasiAlbert(90, 3, rng);
+  EsuMotifConfig config;
+  config.size = 3;
+  config.min_frequency = 1;
+  config.num_random_networks = 2;
+  config.uniqueness_threshold = -1.0;
+  config.max_occurrences_per_pattern = 7;
+  config.checkpoint.dir = ::testing::TempDir() + "/esu_finder_capped_ckpt";
+  const auto first = FindNetworkMotifsEsu(g, config);
+  config.checkpoint.resume = true;
+  const auto resumed = FindNetworkMotifsEsu(g, config);
+  config.max_occurrences_per_pattern = 3;
+  const auto recapped = FindNetworkMotifsEsu(g, config);
+
+  const auto exact = CountSubgraphClasses(g, 3);
+  ASSERT_EQ(first.size(), exact.size());
+  ASSERT_EQ(resumed.size(), first.size());
+  ASSERT_EQ(recapped.size(), first.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].frequency, exact.at(first[i].code));
+    EXPECT_EQ(resumed[i].code, first[i].code);
+    EXPECT_EQ(resumed[i].frequency, first[i].frequency);
+    EXPECT_DOUBLE_EQ(resumed[i].uniqueness, first[i].uniqueness);
+    ASSERT_EQ(resumed[i].occurrences.size(), first[i].occurrences.size());
+    for (size_t o = 0; o < first[i].occurrences.size(); ++o) {
+      EXPECT_EQ(resumed[i].occurrences[o].proteins,
+                first[i].occurrences[o].proteins);
+    }
+    EXPECT_EQ(recapped[i].frequency, first[i].frequency);
+    EXPECT_EQ(recapped[i].occurrences.size(),
+              std::min<size_t>(first[i].frequency, 3));
   }
 }
 

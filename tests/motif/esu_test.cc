@@ -4,7 +4,7 @@
 
 #include "graph/canonical.h"
 #include "graph/generators.h"
-#include "graph/isomorphism.h"
+#include "oracle/isomorphism.h"
 
 namespace lamo {
 namespace {

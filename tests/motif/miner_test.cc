@@ -1,59 +1,48 @@
-#include "motif/miner.h"
+// Route-level tests of FindNetworkMotifs, the one motif-mining entry point
+// (per-size ESU enumeration + uniqueness ensemble, esu_finder.h). The
+// uniqueness ensemble is switched off (num_random_networks = 0) wherever a
+// test is about Task 1 (repeated subgraphs) alone.
+#include <algorithm>
+#include <set>
 
 #include <gtest/gtest.h>
 
 #include "graph/canonical.h"
 #include "graph/generators.h"
 #include "motif/esu.h"
+#include "motif/esu_finder.h"
 
 namespace lamo {
 namespace {
 
-TEST(MinerTest, MatchesEsuWhenUnpruned) {
-  // With min_frequency 1 and no caps, the level-wise grower must find
-  // exactly the classes and counts that exhaustive ESU finds.
-  Rng rng(31);
-  const Graph g = ErdosRenyi(20, 40, rng);
-  MinerConfig config;
-  config.min_size = 3;
-  config.max_size = 4;
-  config.min_frequency = 1;
-  config.max_occurrences_per_pattern = 0;
-  FrequentSubgraphMiner miner(g, config);
-  const auto motifs = miner.Mine();
-
-  for (size_t k = 3; k <= 4; ++k) {
-    const auto exact = CountSubgraphClasses(g, k);
-    std::map<std::vector<uint8_t>, size_t> mined;
-    for (const Motif& m : motifs) {
-      if (m.size() == k) mined[m.code] = m.frequency;
-    }
-    EXPECT_EQ(mined, exact) << "size " << k;
-  }
+MotifFindingConfig FrequentOnly(size_t min_size, size_t max_size,
+                                size_t min_frequency) {
+  MotifFindingConfig config;
+  config.min_size = min_size;
+  config.max_size = max_size;
+  config.min_frequency = min_frequency;
+  config.num_random_networks = 0;
+  return config;
 }
 
 TEST(MinerTest, FrequencyThresholdPrunes) {
   Rng rng(32);
   const Graph g = ErdosRenyi(30, 60, rng);
-  MinerConfig config;
-  config.min_size = 3;
-  config.max_size = 3;
-  config.min_frequency = 5;
-  FrequentSubgraphMiner miner(g, config);
-  for (const Motif& m : miner.Mine()) {
+  const auto motifs = FindNetworkMotifs(g, FrequentOnly(3, 3, 5));
+  const auto exact = CountSubgraphClasses(g, 3);
+  size_t expected = 0;
+  for (const auto& [code, count] : exact) expected += count >= 5 ? 1 : 0;
+  EXPECT_EQ(motifs.size(), expected);
+  for (const Motif& m : motifs) {
     EXPECT_GE(m.frequency, 5u);
+    EXPECT_EQ(m.frequency, exact.at(m.code));
   }
 }
 
 TEST(MinerTest, OccurrencesAreAlignedEmbeddings) {
   Rng rng(33);
   const Graph g = ErdosRenyi(25, 55, rng);
-  MinerConfig config;
-  config.min_size = 3;
-  config.max_size = 4;
-  config.min_frequency = 2;
-  FrequentSubgraphMiner miner(g, config);
-  for (const Motif& m : miner.Mine()) {
+  for (const Motif& m : FindNetworkMotifs(g, FrequentOnly(3, 4, 2))) {
     for (const MotifOccurrence& occ : m.occurrences) {
       ASSERT_EQ(occ.proteins.size(), m.size());
       // The embedding maps motif edges to graph edges and non-edges to
@@ -71,24 +60,19 @@ TEST(MinerTest, OccurrencesAreAlignedEmbeddings) {
 TEST(MinerTest, OccurrenceSetsDistinct) {
   Rng rng(34);
   const Graph g = ErdosRenyi(25, 55, rng);
-  MinerConfig config;
-  config.min_size = 3;
-  config.max_size = 4;
-  config.min_frequency = 1;
-  FrequentSubgraphMiner miner(g, config);
-  for (const Motif& m : miner.Mine()) {
+  for (const Motif& m : FindNetworkMotifs(g, FrequentOnly(3, 4, 1))) {
     std::set<std::vector<VertexId>> sets;
     for (const MotifOccurrence& occ : m.occurrences) {
       std::vector<VertexId> sorted = occ.proteins;
       std::sort(sorted.begin(), sorted.end());
       EXPECT_TRUE(sets.insert(sorted).second);
     }
+    EXPECT_EQ(sets.size(), m.frequency);
   }
 }
 
 TEST(MinerTest, PlantedCliquePatternFound) {
   // Plant 12 disjoint triangles on top of a sparse random background.
-  Rng rng(35);
   GraphBuilder builder(100);
   for (int t = 0; t < 12; ++t) {
     const VertexId base = static_cast<VertexId>(3 * t);
@@ -101,13 +85,7 @@ TEST(MinerTest, PlantedCliquePatternFound) {
     ASSERT_TRUE(builder.AddEdge(v, v + 1).ok());
   }
   const Graph g = builder.Build();
-
-  MinerConfig config;
-  config.min_size = 3;
-  config.max_size = 3;
-  config.min_frequency = 10;
-  FrequentSubgraphMiner miner(g, config);
-  const auto motifs = miner.Mine();
+  const auto motifs = FindNetworkMotifs(g, FrequentOnly(3, 3, 10));
 
   SmallGraph triangle(3);
   triangle.AddEdge(0, 1);
@@ -125,35 +103,30 @@ TEST(MinerTest, PlantedCliquePatternFound) {
 }
 
 TEST(MinerTest, OccurrenceCapBoundsMemory) {
+  // The cap bounds the stored list only: frequency stays the exact count,
+  // and the stored occurrences are the first ones of the uncapped run.
   Rng rng(36);
   const Graph g = BarabasiAlbert(120, 3, rng);
-  MinerConfig config;
-  config.min_size = 3;
-  config.max_size = 3;
-  config.min_frequency = 1;
-  config.max_occurrences_per_pattern = 10;
-  FrequentSubgraphMiner miner(g, config);
-  for (const Motif& m : miner.Mine()) {
-    EXPECT_LE(m.occurrences.size(), 10u);
+  const auto exact = CountSubgraphClasses(g, 3);
+  const auto uncapped = FindNetworkMotifs(g, FrequentOnly(3, 3, 1));
+  MotifFindingConfig capped_config = FrequentOnly(3, 3, 1);
+  capped_config.max_occurrences_per_pattern = 10;
+  const auto capped = FindNetworkMotifs(g, capped_config);
+  ASSERT_EQ(capped.size(), uncapped.size());
+  bool any_capped = false;
+  for (size_t i = 0; i < capped.size(); ++i) {
+    const Motif& m = capped[i];
+    EXPECT_EQ(m.occurrences.size(), std::min<size_t>(m.frequency, 10));
+    EXPECT_EQ(m.frequency, exact.at(m.code));
+    EXPECT_EQ(m.frequency, uncapped[i].frequency);
+    ASSERT_EQ(m.code, uncapped[i].code);
+    for (size_t o = 0; o < m.occurrences.size(); ++o) {
+      EXPECT_EQ(m.occurrences[o].proteins,
+                uncapped[i].occurrences[o].proteins);
+    }
+    any_capped = any_capped || m.frequency > 10;
   }
-}
-
-TEST(MinerTest, BeamKeepsMostFrequent) {
-  Rng rng(37);
-  const Graph g = ErdosRenyi(40, 120, rng);
-  MinerConfig unlimited;
-  unlimited.min_size = 3;
-  unlimited.max_size = 3;
-  unlimited.min_frequency = 1;
-  const auto all = FrequentSubgraphMiner(g, unlimited).Mine();
-
-  MinerConfig beamed = unlimited;
-  beamed.max_patterns_per_level = 1;
-  const auto top = FrequentSubgraphMiner(g, beamed).Mine();
-  ASSERT_EQ(top.size(), 1u);
-  size_t max_freq = 0;
-  for (const Motif& m : all) max_freq = std::max(max_freq, m.frequency);
-  EXPECT_EQ(top[0].frequency, max_freq);
+  EXPECT_TRUE(any_capped) << "the graph must have a class past the cap";
 }
 
 }  // namespace

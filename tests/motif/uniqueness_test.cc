@@ -1,11 +1,13 @@
+// Task 2 (uniqueness) through FindNetworkMotifs, with the VF2 oracle as an
+// independent occurrence counter for the ensemble verdicts.
 #include "motif/uniqueness.h"
 
 #include <gtest/gtest.h>
 
 #include "graph/canonical.h"
 #include "graph/generators.h"
-#include "graph/isomorphism.h"
-#include "motif/miner.h"
+#include "motif/esu_finder.h"
+#include "oracle/isomorphism.h"
 
 namespace lamo {
 namespace {
@@ -40,11 +42,15 @@ TEST(UniquenessTest, PlantedPatternScoresHigh) {
   Rng rng(41);
   const Graph g = PlantedSquares(15, 40, rng);
 
-  MinerConfig miner_config;
-  miner_config.min_size = 4;
-  miner_config.max_size = 4;
-  miner_config.min_frequency = 10;
-  auto motifs = FrequentSubgraphMiner(g, miner_config).Mine();
+  MotifFindingConfig config;
+  config.min_size = 4;
+  config.max_size = 4;
+  config.min_frequency = 10;
+  config.num_random_networks = 10;
+  config.swaps_per_edge = 3.0;
+  config.seed = 7;
+  config.uniqueness_threshold = -1;  // score every frequent class
+  const auto motifs = FindNetworkMotifs(g, config);
 
   SmallGraph square(4);
   square.AddEdge(0, 1);
@@ -52,12 +58,6 @@ TEST(UniquenessTest, PlantedPatternScoresHigh) {
   square.AddEdge(2, 3);
   square.AddEdge(3, 0);
   const auto square_code = CanonicalCode(square);
-
-  UniquenessConfig config;
-  config.num_random_networks = 10;
-  config.swaps_per_edge = 3.0;
-  config.seed = 7;
-  EvaluateUniqueness(g, config, &motifs);
 
   bool square_found = false;
   for (const Motif& m : motifs) {
@@ -86,26 +86,25 @@ TEST(UniquenessTest, FilterUnique) {
 TEST(UniquenessTest, NoRandomNetworksLeavesUnevaluated) {
   Rng rng(42);
   const Graph g = ErdosRenyi(20, 40, rng);
-  std::vector<Motif> motifs(1);
-  motifs[0].pattern = SmallGraph(3);
-  motifs[0].pattern.AddEdge(0, 1);
-  motifs[0].pattern.AddEdge(1, 2);
-  motifs[0].frequency = 5;
-  UniquenessConfig config;
+  MotifFindingConfig config;
+  config.min_size = 3;
+  config.max_size = 3;
+  config.min_frequency = 5;
   config.num_random_networks = 0;
-  EvaluateUniqueness(g, config, &motifs);
-  EXPECT_DOUBLE_EQ(motifs[0].uniqueness, -1.0);
+  const auto motifs = FindNetworkMotifs(g, config);
+  ASSERT_FALSE(motifs.empty());
+  for (const Motif& m : motifs) EXPECT_DOUBLE_EQ(m.uniqueness, -1.0);
 }
 
 TEST(UniquenessTest, FindNetworkMotifsFacade) {
   Rng rng(43);
   const Graph g = PlantedSquares(15, 40, rng);
   MotifFindingConfig config;
-  config.miner.min_size = 3;
-  config.miner.max_size = 4;
-  config.miner.min_frequency = 10;
-  config.uniqueness.num_random_networks = 8;
-  config.uniqueness.seed = 11;
+  config.min_size = 3;
+  config.max_size = 4;
+  config.min_frequency = 10;
+  config.num_random_networks = 8;
+  config.seed = 11;
   config.uniqueness_threshold = 0.9;
   const auto motifs = FindNetworkMotifs(g, config);
   for (const Motif& m : motifs) {
@@ -120,23 +119,21 @@ TEST(UniquenessTest, FindNetworkMotifsFacade) {
 TEST(UniquenessTest, ReplicateOrderDoesNotChangeVerdict) {
   // The ensemble is a sum of per-replicate indicator vectors, each driven
   // by its own Rng::Stream(seed, r) — so evaluating the replicates in any
-  // order (here: reversed, by hand) must reproduce EvaluateUniqueness's
-  // scores and verdicts exactly.
+  // order (here: reversed, by hand, counting with VF2 instead of ESU) must
+  // reproduce FindNetworkMotifs's scores and verdicts exactly.
   Rng rng(41);
   const Graph g = PlantedSquares(12, 30, rng);
 
-  MinerConfig miner_config;
-  miner_config.min_size = 3;
-  miner_config.max_size = 4;
-  miner_config.min_frequency = 8;
-  auto motifs = FrequentSubgraphMiner(g, miner_config).Mine();
-  ASSERT_FALSE(motifs.empty());
-
-  UniquenessConfig config;
+  MotifFindingConfig config;
+  config.min_size = 3;
+  config.max_size = 4;
+  config.min_frequency = 8;
   config.num_random_networks = 6;
   config.swaps_per_edge = 3.0;
   config.seed = 19;
-  EvaluateUniqueness(g, config, &motifs);
+  config.uniqueness_threshold = -1;  // keep every verdict
+  const auto motifs = FindNetworkMotifs(g, config);
+  ASSERT_FALSE(motifs.empty());
 
   std::vector<size_t> wins(motifs.size(), 0);
   for (size_t r = config.num_random_networks; r-- > 0;) {

@@ -1,5 +1,8 @@
-#ifndef LAMO_GRAPH_ISOMORPHISM_H_
-#define LAMO_GRAPH_ISOMORPHISM_H_
+// Test oracle: VF2-style subgraph matching. It counts the occurrences of
+// one pattern independently of ESU, so tests can cross-check the class
+// counts and uniqueness verdicts of the motif-finding route against it.
+#ifndef LAMO_TESTS_ORACLE_ISOMORPHISM_H_
+#define LAMO_TESTS_ORACLE_ISOMORPHISM_H_
 
 #include <cstdint>
 #include <functional>
@@ -52,4 +55,4 @@ size_t CountOccurrences(const SmallGraph& pattern, const Graph& target,
 
 }  // namespace lamo
 
-#endif  // LAMO_GRAPH_ISOMORPHISM_H_
+#endif  // LAMO_TESTS_ORACLE_ISOMORPHISM_H_

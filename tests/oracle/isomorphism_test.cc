@@ -1,4 +1,4 @@
-#include "graph/isomorphism.h"
+#include "oracle/isomorphism.h"
 
 #include <gtest/gtest.h>
 

@@ -13,7 +13,7 @@ trap 'rm -rf "$WORK"' EXIT
 "$LAMO" generate --proteins 300 --copies 20 --seed 9 --out "$WORK/ds" \
   > /dev/null
 
-"$LAMO" mine --graph "$WORK/ds.graph.txt" --algo esu --min-size 3 \
+"$LAMO" mine --graph "$WORK/ds.graph.txt" --min-size 3 \
   --max-size 4 --min-freq 15 --networks 3 --uniqueness 0.5 --threads 2 \
   --report "$WORK/mine.json" --stats --out "$WORK/motifs.txt" \
   > /dev/null 2> "$WORK/mine.stats.txt"

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "core/lamofinder.h"
-#include "motif/uniqueness.h"
+#include "motif/esu_finder.h"
 #include "serve/snapshot.h"
 #include "synth/dataset.h"
 
@@ -28,10 +28,10 @@ inline const Snapshot& TestSnapshot() {
     SyntheticDataset dataset = BuildSyntheticDataset(config);
 
     MotifFindingConfig motif_config;
-    motif_config.miner.min_size = 3;
-    motif_config.miner.max_size = 4;
-    motif_config.miner.min_frequency = 20;
-    motif_config.uniqueness.num_random_networks = 3;
+    motif_config.min_size = 3;
+    motif_config.max_size = 4;
+    motif_config.min_frequency = 20;
+    motif_config.num_random_networks = 3;
     motif_config.uniqueness_threshold = 0.0;  // keep all frequent patterns
     const auto motifs = FindNetworkMotifs(dataset.ppi, motif_config);
 

@@ -26,7 +26,7 @@
 #include "graph/graph_index.h"
 #include "motif/canon_cache.h"
 #include "motif/esu_engine.h"
-#include "motif/uniqueness.h"
+#include "motif/esu_finder.h"
 #include "predict/gds.h"
 #include "predict/role_similarity.h"
 #include "serve/journal.h"
@@ -59,10 +59,10 @@ const Snapshot& SmallSnapshot() {
     SyntheticDataset dataset = BuildSyntheticDataset(config);
 
     MotifFindingConfig motif_config;
-    motif_config.miner.min_size = 3;
-    motif_config.miner.max_size = 4;
-    motif_config.miner.min_frequency = 8;
-    motif_config.uniqueness.num_random_networks = 3;
+    motif_config.min_size = 3;
+    motif_config.max_size = 4;
+    motif_config.min_frequency = 8;
+    motif_config.num_random_networks = 3;
     motif_config.uniqueness_threshold = 0.0;
     const auto motifs = FindNetworkMotifs(dataset.ppi, motif_config);
 

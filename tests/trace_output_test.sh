@@ -15,7 +15,7 @@ trap 'rm -rf "$WORK"' EXIT
 "$LAMO" generate --proteins 300 --copies 20 --seed 9 --out "$WORK/ds" \
   > /dev/null
 
-"$LAMO" mine --graph "$WORK/ds.graph.txt" --algo esu --min-size 3 \
+"$LAMO" mine --graph "$WORK/ds.graph.txt" --min-size 3 \
   --max-size 4 --min-freq 15 --networks 4 --uniqueness 0.5 --threads 4 \
   --trace "$WORK/mine.trace.json" --out "$WORK/motifs.txt" > /dev/null
 test -s "$WORK/mine.trace.json"
@@ -48,7 +48,7 @@ test "$label_events" -gt 0 || { echo "FAIL: empty label trace" >&2; exit 1; }
 
 # Overflow: a 16-event ring must still produce a valid trace and account for
 # what it shed.
-"$LAMO" mine --graph "$WORK/ds.graph.txt" --algo esu --min-size 3 \
+"$LAMO" mine --graph "$WORK/ds.graph.txt" --min-size 3 \
   --max-size 4 --min-freq 15 --networks 4 --uniqueness 0.5 --threads 4 \
   --trace "$WORK/tiny.trace.json" --trace-capacity 16 \
   --out "$WORK/motifs2.txt" > /dev/null
@@ -62,7 +62,7 @@ fi
 # Tracing must not perturb the pipeline: same motifs with and without it.
 cmp "$WORK/motifs.txt" "$WORK/motifs2.txt" || {
   echo "FAIL: output differs across --trace-capacity settings" >&2; exit 1; }
-"$LAMO" mine --graph "$WORK/ds.graph.txt" --algo esu --min-size 3 \
+"$LAMO" mine --graph "$WORK/ds.graph.txt" --min-size 3 \
   --max-size 4 --min-freq 15 --networks 4 --uniqueness 0.5 --threads 4 \
   --out "$WORK/motifs_plain.txt" > /dev/null
 cmp "$WORK/motifs.txt" "$WORK/motifs_plain.txt" || {

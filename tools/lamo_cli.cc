@@ -44,7 +44,6 @@
 #include "io/motif_io.h"
 #include "io/obo.h"
 #include "motif/esu_finder.h"
-#include "motif/uniqueness.h"
 #include "obs/obs.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
@@ -304,38 +303,20 @@ int CmdMine(const Flags& flags) {
   }();
   if (!graph.ok()) return Fail(graph.status());
 
-  const std::string algo = flags.Get("algo", "levelwise");
+  // FANMOD route: exhaustive per-size ESU enumeration + ensemble
+  // uniqueness, one pass per size in [min-size, max-size].
   std::vector<Motif> motifs;
-  if (algo == "esu") {
-    // FANMOD route: exhaustive per-size ESU enumeration + ensemble
-    // uniqueness, one pass per size in [min-size, max-size].
+  {
     const ScopedTimer timer("mine");
-    EsuMotifConfig config;
+    MotifFindingConfig config;
+    config.min_size = flags.GetSize("min-size", 3);
+    config.max_size = flags.GetSize("max-size", 5);
     config.min_frequency = flags.GetSize("min-freq", 40);
     config.num_random_networks = flags.GetSize("networks", 10);
     config.uniqueness_threshold = flags.GetDouble("uniqueness", 0.95);
     config.seed = flags.GetSize("seed", 42);
     config.checkpoint = *checkpoint;
-    const size_t min_size = flags.GetSize("min-size", 3);
-    const size_t max_size = flags.GetSize("max-size", 5);
-    for (size_t size = min_size; size <= max_size; ++size) {
-      config.size = size;
-      auto per_size = FindNetworkMotifsEsu(*graph, config);
-      for (auto& motif : per_size) motifs.push_back(std::move(motif));
-    }
-  } else if (algo == "levelwise") {
-    const ScopedTimer timer("mine");
-    MotifFindingConfig config;
-    config.miner.min_size = flags.GetSize("min-size", 3);
-    config.miner.max_size = flags.GetSize("max-size", 5);
-    config.miner.min_frequency = flags.GetSize("min-freq", 40);
-    config.miner.max_patterns_per_level = flags.GetSize("beam", 60);
-    config.uniqueness.num_random_networks = flags.GetSize("networks", 10);
-    config.uniqueness_threshold = flags.GetDouble("uniqueness", 0.95);
-    config.checkpoint = *checkpoint;
     motifs = FindNetworkMotifs(*graph, config);
-  } else {
-    return Fail(Status::InvalidArgument("--algo must be levelwise or esu"));
   }
   std::printf("found %zu network motifs\n", motifs.size());
 
@@ -863,9 +844,8 @@ int Usage() {
       "commands:\n"
       "  generate  --proteins N --seed S --copies C --out PREFIX\n"
       "  stats     --graph FILE\n"
-      "  mine      --graph FILE --algo levelwise|esu --min-size K --max-size K\n"
-      "            --min-freq F --networks R --uniqueness U --beam B --seed S\n"
-      "            --threads N --out FILE\n"
+      "  mine      --graph FILE --min-size K --max-size K --min-freq F\n"
+      "            --networks R --uniqueness U --seed S --threads N --out FILE\n"
       "  label     --graph FILE --obo FILE --annotations FILE --motifs FILE\n"
       "            --sigma S --max-occurrences M --informative T --threads N\n"
       "            --out FILE\n"
@@ -985,13 +965,11 @@ const std::vector<Command>& Commands() {
       {"mine",
        WithCheckpointFlags(
            WithCommonFlags({{"graph", FlagKind::kString},
-                            {"algo", FlagKind::kString},
                             {"min-size", FlagKind::kSize},
                             {"max-size", FlagKind::kSize},
                             {"min-freq", FlagKind::kSize},
                             {"networks", FlagKind::kSize},
                             {"uniqueness", FlagKind::kDouble},
-                            {"beam", FlagKind::kSize},
                             {"seed", FlagKind::kSize},
                             {"out", FlagKind::kString}})),
        CmdMine},
