@@ -22,8 +22,9 @@ int main() {
                       "informative FC", "border informative FC"});
   size_t total_direct = 0;
   for (int i = 1; i <= 11; ++i) {
-    const TermId t = example.term("G" + std::string(i < 10 ? "0" : "") +
-                                  std::to_string(i));
+    std::string name = i < 10 ? "G0" : "G";
+    name += std::to_string(i);
+    const TermId t = example.term(name);
     total_direct += direct[t];
     table.AddRow({example.ontology.TermName(t), std::to_string(direct[t]),
                   std::to_string(closure[t]),

@@ -30,8 +30,9 @@ int main() {
     return result;
   };
   auto protein_name = [&](size_t occurrence_index, uint32_t pos) {
-    return "P" + std::to_string(
-                     example.occurrences[occurrence_index][pos] + 1);
+    std::string name = "P";
+    name += std::to_string(example.occurrences[occurrence_index][pos] + 1);
+    return name;
   };
 
   const LabelProfile o1 = profile(0);
@@ -43,8 +44,9 @@ int main() {
   for (size_t oi = 0; oi < 2; ++oi) {
     const LabelProfile& prof = oi == 0 ? o1 : o2;
     for (uint32_t pos = 0; pos < 4; ++pos) {
-      annotations.AddRow({oi == 0 ? "o1" : "o2",
-                          "v" + std::to_string(pos + 1),
+      std::string vertex = "v";
+      vertex += std::to_string(pos + 1);
+      annotations.AddRow({oi == 0 ? "o1" : "o2", vertex,
                           protein_name(oi, pos),
                           LabelSetToString(example.ontology, prof[pos])});
     }

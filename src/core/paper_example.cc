@@ -39,8 +39,9 @@ PaperExample MakePaperExample() {
   OntologyBuilder builder;
   std::vector<TermId> g(kNumTerms + 1);  // g[1] = G01 ... g[11] = G11
   for (int i = 1; i <= kNumTerms; ++i) {
-    g[i] = builder.AddTerm("G" + std::string(i < 10 ? "0" : "") +
-                           std::to_string(i));
+    std::string name = i < 10 ? "G0" : "G";
+    name += std::to_string(i);
+    g[i] = builder.AddTerm(name);
   }
   auto rel = [&](int child, int parent, RelationType r) {
     LAMO_CHECK(builder.AddRelation(g[child], g[parent], r).ok());

@@ -153,7 +153,11 @@ std::string SmallGraph::ToString() const {
   for (const auto& [a, b] : Edges()) {
     if (!first) out += ", ";
     first = false;
-    out += "{" + std::to_string(a) + "," + std::to_string(b) + "}";
+    out += '{';
+    out += std::to_string(a);
+    out += ',';
+    out += std::to_string(b);
+    out += '}';
   }
   out += "})";
   return out;

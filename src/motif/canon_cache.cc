@@ -11,6 +11,9 @@ namespace {
 const size_t kObsLookups = ObsCounterId("esu.canon_shared_lookups");
 const size_t kObsHits = ObsCounterId("esu.canon_shared_hits");
 const size_t kObsMisses = ObsCounterId("esu.canon_shared_misses");
+/// Chunk-local memo outcomes (ChunkCanonCache).
+const size_t kObsChunkHits = ObsCounterId("esu.canon_cache_hits");
+const size_t kObsChunkMisses = ObsCounterId("esu.canon_cache_misses");
 
 /// Finalizer for splitmix64 — spreads the low-entropy adjacency keys across
 /// shards far better than taking the raw low bits.
@@ -107,6 +110,17 @@ const CanonicalResult& SharedCanonCache::LookupSharded(uint64_t bits) {
   auto result =
       std::make_unique<CanonicalResult>(Canonicalize(UnpackBits(bits, k_)));
   return *shard.entries.emplace(bits, std::move(result)).first->second;
+}
+
+const CanonicalResult& ChunkCanonCache::Lookup(const SmallGraph& sub) {
+  std::vector<uint8_t> key = sub.AdjacencyCode();
+  auto it = memo_.find(key);
+  if (it != memo_.end()) {
+    ObsIncrement(kObsChunkHits);
+    return it->second;
+  }
+  ObsIncrement(kObsChunkMisses);
+  return memo_.emplace(std::move(key), Canonicalize(sub)).first->second;
 }
 
 }  // namespace lamo

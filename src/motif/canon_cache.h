@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -85,6 +86,20 @@ class SharedCanonCache {
   std::vector<std::atomic<const CanonicalResult*>> dense_;
   // Sharded path (k > 6).
   std::unique_ptr<Shard[]> shards_;
+};
+
+/// Chunk-local memo from the raw adjacency bytes of an induced subgraph to
+/// its full canonicalization (code, canonical graph, permutation): the
+/// fallback for sizes past SharedCanonCache::kMaxK, whose patterns outgrow
+/// the 64-bit key. Chunk-local by design — no sharing, no locks — and
+/// Canonicalize is pure, so results are bit-identical with or without it.
+/// Obs counters: esu.canon_cache_{hits,misses}.
+class ChunkCanonCache {
+ public:
+  const CanonicalResult& Lookup(const SmallGraph& sub);
+
+ private:
+  std::map<std::vector<uint8_t>, CanonicalResult> memo_;
 };
 
 }  // namespace lamo

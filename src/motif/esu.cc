@@ -17,8 +17,8 @@ namespace {
 
 /// Connected size-k sets emitted by the class-counting pipelines.
 const size_t kObsSubgraphs = ObsCounterId("esu.subgraphs");
-/// Chunk-local canonical-form memo outcomes (the L1 in front of the shared
-/// table; see CanonicalCodeCache below and SharedCanonCache).
+/// Pattern-tally outcomes of the fast path (the chunk-local L1 in front of
+/// the shared table); the same counters as ChunkCanonCache.
 const size_t kObsCanonHits = ObsCounterId("esu.canon_cache_hits");
 const size_t kObsCanonMisses = ObsCounterId("esu.canon_cache_misses");
 /// Root-range chunks processed and their summed wall time: per-chunk cost
@@ -43,28 +43,6 @@ struct RandEsuExplore {
     const double p = (*probabilities)[depth];
     return p >= 1.0 || rng->Bernoulli(p);
   }
-};
-
-/// Chunk-local memo from raw adjacency bytes of an induced subgraph to its
-/// canonical code, for sizes past SharedCanonCache::kMaxK (whose patterns
-/// no longer fit a 64-bit key). Chunk-local by design: no sharing, no
-/// locks, and the result of CountSubgraphClasses is bit-identical with or
-/// without it.
-class CanonicalCodeCache {
- public:
-  const std::vector<uint8_t>& CodeFor(const SmallGraph& sub) {
-    const std::vector<uint8_t> key = sub.AdjacencyCode();
-    auto it = memo_.find(key);
-    if (it != memo_.end()) {
-      ObsIncrement(kObsCanonHits);
-      return it->second;
-    }
-    ObsIncrement(kObsCanonMisses);
-    return memo_.emplace(key, CanonicalCode(sub)).first->second;
-  }
-
- private:
-  std::map<std::vector<uint8_t>, std::vector<uint8_t>> memo_;
 };
 
 /// Wall-clock accounting for one enumeration chunk: counters + latency
@@ -105,23 +83,8 @@ void EnumerateConnectedSubgraphs(
     const Graph& g, size_t k,
     const std::function<bool(const std::vector<VertexId>&)>& callback) {
   const GraphIndex index(g);
-  EnumerateConnectedSubgraphsInRootRange(
-      index, k, 0, static_cast<VertexId>(g.num_vertices()), callback);
-}
-
-void EnumerateConnectedSubgraphsInRootRange(
-    const Graph& g, size_t k, VertexId root_begin, VertexId root_end,
-    const std::function<bool(const std::vector<VertexId>&)>& callback) {
-  const GraphIndex index(g);
-  EnumerateConnectedSubgraphsInRootRange(index, k, root_begin, root_end,
-                                         callback);
-}
-
-void EnumerateConnectedSubgraphsInRootRange(
-    const GraphIndex& index, size_t k, VertexId root_begin, VertexId root_end,
-    const std::function<bool(const std::vector<VertexId>&)>& callback) {
   std::vector<VertexId> scratch;
-  esu_internal::RunEsu(index, k, root_begin, root_end,
+  esu_internal::RunEsu(index, k, 0, static_cast<VertexId>(g.num_vertices()),
                        [&](const VertexId* set, size_t size) {
                          scratch.assign(set, set + size);
                          return callback(scratch);
@@ -186,14 +149,14 @@ std::map<std::vector<uint8_t>, size_t> CountSubgraphClasses(
             local[canon->Lookup(bits).code] += count;
           }
         } else {
-          CanonicalCodeCache chunk_canon;
+          ChunkCanonCache chunk_canon;
           esu_internal::RunEsu(
               index, k, static_cast<VertexId>(lo), static_cast<VertexId>(hi),
               [&](const VertexId* set, size_t size) {
                 ObsIncrement(kObsSubgraphs);
                 const SmallGraph sub = SmallGraph::InducedSubgraph(
                     g, std::vector<VertexId>(set, set + size));
-                ++local[chunk_canon.CodeFor(sub)];
+                ++local[chunk_canon.Lookup(sub).code];
                 return true;
               });
         }

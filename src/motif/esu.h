@@ -19,27 +19,10 @@ namespace lamo {
 ///
 /// ESU is the enumeration behind the motif-finding route (esu_finder.h),
 /// practical for k <= ~7 on PPI-scale networks. Runs on the index-centric
-/// engine (a GraphIndex is built internally); use the GraphIndex overload
-/// below to amortize the index across many calls.
+/// engine (a GraphIndex is built internally); hot paths that reuse one
+/// index, or shard by root range, call esu_internal::RunEsu directly.
 void EnumerateConnectedSubgraphs(
     const Graph& g, size_t k,
-    const std::function<bool(const std::vector<VertexId>&)>& callback);
-
-/// Enumerates only the connected size-k sets whose minimum vertex (ESU's
-/// "root") lies in [root_begin, root_end). Every set is rooted at exactly
-/// one vertex, so disjoint root ranges partition the full enumeration; this
-/// is the sharding axis of the parallel pipelines (parallel/parallel_for.h).
-/// Within a range, sets are emitted in the same order as the full-range
-/// call.
-void EnumerateConnectedSubgraphsInRootRange(
-    const Graph& g, size_t k, VertexId root_begin, VertexId root_end,
-    const std::function<bool(const std::vector<VertexId>&)>& callback);
-
-/// Same enumeration over a prebuilt GraphIndex — the form the mining hot
-/// paths use: build the index once at load, run every chunk (and, in tests,
-/// the sparse fallback) against it without rebuilding.
-void EnumerateConnectedSubgraphsInRootRange(
-    const GraphIndex& index, size_t k, VertexId root_begin, VertexId root_end,
     const std::function<bool(const std::vector<VertexId>&)>& callback);
 
 /// The root-range chunk size the parallel ESU pipelines use for a graph of

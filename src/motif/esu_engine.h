@@ -21,6 +21,21 @@ struct ExploreAll {
   static constexpr bool Explore(size_t /*depth*/) { return true; }
 };
 
+/// Leaf emission policy: only the size-k sets (the ESU tree's leaves) are
+/// emitted. Engines instantiated with it carry no prefix-emission code.
+struct EmitLeaves {
+  static constexpr bool kPrefixes = false;
+};
+
+/// Prefix emission policy: every tree node of size >= 2 is emitted on entry,
+/// inner nodes included. In Wernicke's ESU tree every node is a distinct
+/// connected set, so one depth-k walk yields every connected 2..k-set once,
+/// in pre-order: the size-s subsequence is exactly the emission sequence of
+/// a depth-s walk (graphlet degree signatures, predict/gds.cc).
+struct EmitPrefixes {
+  static constexpr bool kPrefixes = true;
+};
+
 /// Allocation-free ESU walk over a GraphIndex — the index-centric successor
 /// of the pointer-chasing recursive walk (tests/oracle/legacy_esu.cc keeps
 /// it as the reference the differential battery diffs against). Same
@@ -64,10 +79,14 @@ struct ExploreAll {
 /// once per extension candidate of a size-d subgraph at depth d — the coin
 /// order of the recursive walk, so equal Rng seeds sample equal sets.
 ///
-/// `Emit` is invoked as emit(const VertexId* set, size_t k) with the vertex
-/// set in ascending order; returning false aborts the whole enumeration
-/// (matching the public callback contract).
-template <typename Emit, typename Explore = ExploreAll>
+/// `Emission` picks the emitted tree nodes: EmitLeaves (the size-k sets)
+/// or EmitPrefixes (every node of size 2..k).
+///
+/// `Emit` is invoked as emit(const VertexId* set, size_t size) with the
+/// vertex set in ascending order; returning false aborts the whole
+/// enumeration (matching the public callback contract).
+template <typename Emit, typename Explore = ExploreAll,
+          typename Emission = EmitLeaves>
 class Engine {
  public:
   Engine(const GraphIndex& index, size_t k, Emit emit, Explore explore = {})
@@ -186,6 +205,19 @@ class Engine {
     return emit_(sorted_.data(), k_);
   }
 
+  /// EmitSet for an inner node of `size` vertices (EmitPrefixes only). A
+  /// separate copy of the loop, so that leaf-emitting engines compile to
+  /// the same code as without the prefix policy.
+  bool EmitPrefix(size_t size) {
+    for (size_t i = 0; i < size; ++i) {
+      const VertexId v = subgraph_[i];
+      size_t j = i;
+      for (; j > 0 && sorted_[j - 1] > v; --j) sorted_[j] = sorted_[j - 1];
+      sorted_[j] = v;
+    }
+    return emit_(sorted_.data(), size);
+  }
+
   /// Extends a subgraph of `size` vertices with candidates
   /// extension_[ext_begin, ext_end). Frames are index-based: the flat
   /// extension stack may reallocate while children append to it.
@@ -193,6 +225,9 @@ class Engine {
   /// the back, preceding siblings inherited.
   template <bool kPair>
   bool Extend(size_t size, size_t ext_begin, size_t ext_end, VertexId root) {
+    if constexpr (Emission::kPrefixes) {
+      if (size >= 2 && !EmitPrefix(size)) return false;
+    }
     const size_t count = ext_end - ext_begin;
     if (size + 1 == k_) {
       // Leaf level: each candidate completes a size-k set; no child state.
@@ -305,6 +340,16 @@ bool RunSampledEsu(const GraphIndex& index, size_t k, VertexId root_begin,
                    VertexId root_end, Explore explore, Emit&& emit) {
   Engine<std::decay_t<Emit>, Explore> engine(index, k, std::forward<Emit>(emit),
                                              std::move(explore));
+  return engine.RunRoots(root_begin, root_end);
+}
+
+/// RunEsu under EmitPrefixes: every connected 2..k-set rooted in the range
+/// (and, for k = 1, the singletons).
+template <typename Emit>
+bool RunPrefixEsu(const GraphIndex& index, size_t k, VertexId root_begin,
+                  VertexId root_end, Emit&& emit) {
+  Engine<std::decay_t<Emit>, ExploreAll, EmitPrefixes> engine(
+      index, k, std::forward<Emit>(emit));
   return engine.RunRoots(root_begin, root_end);
 }
 

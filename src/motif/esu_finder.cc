@@ -42,29 +42,6 @@ constexpr size_t kFoldWaveChunks = 32;
 const size_t kFpEnumChunk = FaultPointId("mine.enum.chunk");
 const size_t kFpUniqReplicate = FaultPointId("mine.uniq.replicate");
 
-/// Chunk-local memo from raw adjacency bytes to the full canonicalization
-/// result (code, canonical graph, permutation) — the fallback for sizes past
-/// SharedCanonCache::kMaxK, whose patterns outgrow the 64-bit key. Same
-/// determinism argument as the code-only cache in esu.cc: Canonicalize is a
-/// pure function of the induced subgraph, and the cache never crosses a
-/// chunk boundary.
-class CanonicalResultCache {
- public:
-  const CanonicalResult& ResultFor(const SmallGraph& sub) {
-    const std::vector<uint8_t> key = sub.AdjacencyCode();
-    auto it = memo_.find(key);
-    if (it != memo_.end()) {
-      ObsIncrement(kObsCanonHits);
-      return it->second;
-    }
-    ObsIncrement(kObsCanonMisses);
-    return memo_.emplace(key, Canonicalize(sub)).first->second;
-  }
-
- private:
-  std::map<std::vector<uint8_t>, CanonicalResult> memo_;
-};
-
 struct ClassEntry {
   SmallGraph pattern{0};
   /// Exact number of occurrences emitted (the class frequency).
@@ -214,7 +191,7 @@ std::vector<Motif> FindNetworkMotifsEsu(const Graph& graph,
   // One canonicalization table for the whole run — every enumeration chunk
   // and every uniqueness replicate resolves through it, so each adjacency
   // pattern is canonicalized once per run. Sizes past the 64-bit key fall
-  // back to chunk-local caches (CanonicalResultCache below).
+  // back to chunk-local caches (ChunkCanonCache).
   std::optional<SharedCanonCache> shared_canon;
   if (config.size <= SharedCanonCache::kMaxK) shared_canon.emplace(config.size);
 
@@ -292,14 +269,14 @@ std::vector<Motif> FindNetworkMotifsEsu(const Graph& graph,
               return true;
             });
       } else {
-        CanonicalResultCache canon_cache;
+        ChunkCanonCache canon_cache;
         esu_internal::RunEsu(
             index, config.size, static_cast<VertexId>(lo),
             static_cast<VertexId>(hi), [&](const VertexId* set, size_t size) {
               ObsIncrement(kObsSubgraphs);
               const SmallGraph sub = SmallGraph::InducedSubgraph(
                   graph, std::vector<VertexId>(set, set + size));
-              record(set, size, canon_cache.ResultFor(sub));
+              record(set, size, canon_cache.Lookup(sub));
               return true;
             });
       }

@@ -143,8 +143,10 @@ std::string RouterService::Handle(const std::string& line) {
           // same query shares one backend cache entry; TERMINFO may go to
           // any backend (every shard keeps the full ontology), the ring
           // gives cache affinity in both modes.
-          const std::string forwarded =
-              "#" + std::to_string(id) + " " + CacheKey(request);
+          std::string forwarded = "#";
+          forwarded += std::to_string(id);
+          forwarded += ' ';
+          forwarded += CacheKey(request);
           if (request.type == RequestType::kTermInfo) {
             response = Route("t:" + request.term, 0, false, forwarded, &routed);
           } else {

@@ -28,8 +28,9 @@ TEST_F(PaperExampleTest, Table1WeightsExact) {
   const double expected[] = {1.00, 0.71, 0.81, 0.42, 0.48, 0.43,
                              0.17, 0.23, 0.17, 0.15, 0.03};
   for (int i = 1; i <= 11; ++i) {
-    const TermId t = example_->term(
-        "G" + std::string(i < 10 ? "0" : "") + std::to_string(i));
+    std::string name = i < 10 ? "G0" : "G";
+    name += std::to_string(i);
+    const TermId t = example_->term(name);
     const double w = example_->weights.Weight(t);
     EXPECT_NEAR(w, expected[i - 1], 0.005)
         << "weight of G" << i << " = " << w;

@@ -11,6 +11,10 @@
 //     are required to agree on the exact emission *sequence*, not just the
 //     multiset — the pipelines' byte-identical-output guarantee rests on
 //     the emission order being preserved.
+//  3. The engine's prefix-emission policy (EmitPrefixes, the graphlet
+//     degree signature walk) versus the leaf-emitting engine: the size-s
+//     emissions of one depth-k walk must be the depth-s walk's sequence.
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
@@ -22,6 +26,7 @@
 #include "graph/graph_index.h"
 #include "motif/canon_cache.h"
 #include "motif/esu.h"
+#include "motif/esu_engine.h"
 #include "oracle/legacy_esu.h"
 #include "util/random.h"
 
@@ -99,13 +104,68 @@ SetSequence LegacySequence(const Graph& g, size_t k) {
 // (dense bitset or, with dense_vertex_limit = 0, the sparse CSR fallback).
 SetSequence IndexSequence(const GraphIndex& index, size_t k) {
   SetSequence sets;
-  EnumerateConnectedSubgraphsInRootRange(
+  esu_internal::RunEsu(index, k, 0, static_cast<VertexId>(index.num_vertices()),
+                       [&](const VertexId* set, size_t size) {
+                         sets.emplace_back(set, set + size);
+                         return true;
+                       });
+  return sets;
+}
+
+// Every emission of one depth-k walk under the prefix policy, in order.
+SetSequence PrefixSequence(const GraphIndex& index, size_t k) {
+  SetSequence sets;
+  esu_internal::RunPrefixEsu(
       index, k, 0, static_cast<VertexId>(index.num_vertices()),
-      [&](const std::vector<VertexId>& set) {
-        sets.push_back(set);
+      [&](const VertexId* set, size_t size) {
+        sets.emplace_back(set, set + size);
         return true;
       });
   return sets;
+}
+
+// The size-s subsequence of `sets`, order kept.
+SetSequence OfSize(const SetSequence& sets, size_t s) {
+  SetSequence out;
+  for (const std::vector<VertexId>& set : sets) {
+    if (set.size() == s) out.push_back(set);
+  }
+  return out;
+}
+
+// The prefix walk at every depth k in 2..6 against the leaf walk at every
+// size s <= k. A walk deeper than the graph emits nothing at all (RunRoots
+// returns early), which is why the signature walk clamps its depth.
+void ExpectPrefixWalkMatchesLeafWalks(const GraphIndex& index) {
+  const size_t n = index.num_vertices();
+  for (size_t k = 2; k <= 6; ++k) {
+    SCOPED_TRACE(testing::Message() << "prefix depth " << k << " dense "
+                                    << index.dense());
+    const SetSequence prefix = PrefixSequence(index, k);
+    if (k > n) {
+      EXPECT_TRUE(prefix.empty());
+      continue;
+    }
+    size_t matched = 0;
+    for (size_t s = 2; s <= k; ++s) {
+      const SetSequence leaves = IndexSequence(index, s);
+      EXPECT_EQ(OfSize(prefix, s), leaves) << "size " << s;
+      matched += leaves.size();
+    }
+    EXPECT_EQ(prefix.size(), matched);  // no size-0/1 or oversized sets
+    // Pre-order: the latest shorter emission before a set is its ESU
+    // parent, one vertex smaller and contained in it.
+    std::vector<std::vector<VertexId>> latest(k + 1);
+    for (const std::vector<VertexId>& set : prefix) {
+      const std::vector<VertexId>& parent = latest[set.size() - 1];
+      if (set.size() > 2) {
+        EXPECT_TRUE(parent.size() + 1 == set.size() &&
+                    std::includes(set.begin(), set.end(), parent.begin(),
+                                  parent.end()));
+      }
+      latest[set.size()] = set;
+    }
+  }
 }
 
 // A graph from one of several structural families, cycling with `trial` so
@@ -158,6 +218,8 @@ TEST(EsuDifferentialTest, IndexEngineMatchesLegacyWalkOn120Graphs) {
   // forced-sparse engine, and the legacy walk must emit the *same sequence*
   // of vertex sets; the class-counting pipeline (with and without a shared
   // canonicalization table) and the brute force must agree on the multiset.
+  // On both indexes the prefix walk at depths 2..6 interleaves the leaf
+  // walks of every size (graphs with n < 6 cover the too-deep case).
   Rng rng(20070715);
   for (int trial = 0; trial < 120; ++trial) {
     const size_t n = 4 + rng.Uniform(11);  // 4..14
@@ -166,6 +228,8 @@ TEST(EsuDifferentialTest, IndexEngineMatchesLegacyWalkOn120Graphs) {
     const GraphIndex sparse_index(g, 0);
     ASSERT_TRUE(dense_index.dense());
     ASSERT_FALSE(sparse_index.dense());
+    ExpectPrefixWalkMatchesLeafWalks(dense_index);
+    ExpectPrefixWalkMatchesLeafWalks(sparse_index);
     for (size_t k = 3; k <= 5 && k <= n; ++k) {
       SCOPED_TRACE(testing::Message()
                    << "trial " << trial << " n=" << n
@@ -184,7 +248,8 @@ TEST(EsuDifferentialTest, IndexEngineMatchesLegacyWalkOn120Graphs) {
 
 TEST(EsuDifferentialTest, IndexEngineHonorsCallbackAbort) {
   // Returning false must stop the enumeration immediately on both engine
-  // paths, exactly as the legacy walk does.
+  // paths, exactly as the legacy walk does — inner-node emissions of the
+  // prefix walk included.
   Rng rng(11);
   const Graph g = ErdosRenyi(12, 40, rng);
   const SetSequence all = LegacySequence(g, 4);
@@ -194,13 +259,22 @@ TEST(EsuDifferentialTest, IndexEngineHonorsCallbackAbort) {
                                      size_t{0}}) {
       const GraphIndex index(g, dense_limit);
       SetSequence prefix;
-      EnumerateConnectedSubgraphsInRootRange(
-          index, 4, 0, 12, [&](const std::vector<VertexId>& set) {
-            prefix.push_back(set);
-            return prefix.size() < limit;
-          });
+      esu_internal::RunEsu(index, 4, 0, 12,
+                           [&](const VertexId* set, size_t size) {
+                             prefix.emplace_back(set, set + size);
+                             return prefix.size() < limit;
+                           });
       EXPECT_EQ(prefix.size(), limit);
       EXPECT_EQ(prefix, SetSequence(all.begin(), all.begin() + limit));
+
+      const SetSequence walk = PrefixSequence(index, 4);
+      SetSequence walk_prefix;
+      esu_internal::RunPrefixEsu(index, 4, 0, 12,
+                                 [&](const VertexId* set, size_t size) {
+                                   walk_prefix.emplace_back(set, set + size);
+                                   return walk_prefix.size() < limit;
+                                 });
+      EXPECT_EQ(walk_prefix, SetSequence(walk.begin(), walk.begin() + limit));
     }
   }
 }
@@ -213,12 +287,14 @@ TEST(EsuDifferentialTest, RootRangesPartitionTheEnumeration) {
   const ClassCounts expected = EsuClasses(g, 4);
   for (VertexId split = 0; split <= 12; ++split) {
     ClassCounts merged;
-    const auto add = [&](const std::vector<VertexId>& set) {
-      ++merged[CanonicalCode(SmallGraph::InducedSubgraph(g, set))];
+    const auto add = [&](const VertexId* set, size_t size) {
+      ++merged[CanonicalCode(SmallGraph::InducedSubgraph(
+          g, std::vector<VertexId>(set, set + size)))];
       return true;
     };
-    EnumerateConnectedSubgraphsInRootRange(g, 4, 0, split, add);
-    EnumerateConnectedSubgraphsInRootRange(g, 4, split, 12, add);
+    const GraphIndex index(g);
+    esu_internal::RunEsu(index, 4, 0, split, add);
+    esu_internal::RunEsu(index, 4, split, 12, add);
     EXPECT_EQ(merged, expected) << "split at root " << split;
   }
 }

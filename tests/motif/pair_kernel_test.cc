@@ -6,7 +6,9 @@
 // packings. The kernel must reproduce its output *sequence* exactly —
 // order, vertex sets, bits_with, bits_without and connected_without — for
 // every k up to GraphIndex::kMaxInducedBitsVertices, on the dense index
-// and on the CSR-only one.
+// and on the CSR-only one. The kernel's prefix-emission policy is one more
+// input: the size-s emissions of one depth-k pair walk must be the size-s
+// pair walk's vertex sets, in order.
 #include <algorithm>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "graph/generators.h"
 #include "graph/graph_index.h"
 #include "motif/delta_esu.h"
+#include "motif/esu_engine.h"
 #include "util/random.h"
 
 namespace lamo {
@@ -112,6 +115,77 @@ std::vector<PairSubgraph> OraclePairSubgraphs(const GraphIndex& index,
 
 // ---- The differential ------------------------------------------------------
 
+using SetSequence = std::vector<std::vector<VertexId>>;
+
+// Vertex sets of one depth-k pair walk under the prefix policy, in order.
+SetSequence PrefixPairSets(const GraphIndex& index, VertexId u, VertexId v,
+                           size_t k) {
+  SetSequence sets;
+  const auto emit = [&](const VertexId* set, size_t size) {
+    sets.emplace_back(set, set + size);
+    return true;
+  };
+  esu_internal::Engine<decltype(emit), esu_internal::ExploreAll,
+                       esu_internal::EmitPrefixes>
+      engine(index, k, emit);
+  engine.RunPair(u, v);
+  return sets;
+}
+
+// The size-s subsequence of `sets`, order kept.
+SetSequence OfSize(const SetSequence& sets, size_t s) {
+  SetSequence out;
+  for (const std::vector<VertexId>& set : sets) {
+    if (set.size() == s) out.push_back(set);
+  }
+  return out;
+}
+
+// The prefix pair walk at depths 2..6 against the size-s pair walks
+// (`by_size[s]`, the vertex sets the kernel emits at size s). A walk deeper
+// than the graph emits nothing (RunPair returns early).
+void ExpectPrefixPairWalkMatches(const GraphIndex& index, VertexId u,
+                                 VertexId v,
+                                 const std::vector<SetSequence>& by_size) {
+  for (size_t k = 2; k <= 6; ++k) {
+    SCOPED_TRACE(testing::Message() << "prefix depth " << k);
+    const SetSequence prefix = PrefixPairSets(index, u, v, k);
+    if (k > index.num_vertices()) {
+      EXPECT_TRUE(prefix.empty());
+      continue;
+    }
+    size_t matched = 0;
+    for (size_t s = 2; s <= k; ++s) {
+      EXPECT_EQ(OfSize(prefix, s), by_size[s]) << "size " << s;
+      matched += by_size[s].size();
+    }
+    EXPECT_EQ(prefix.size(), matched);
+    // Pre-order: the latest shorter emission before a set is its ESU
+    // parent, one vertex smaller and contained in it.
+    std::vector<std::vector<VertexId>> latest(k + 1);
+    for (const std::vector<VertexId>& set : prefix) {
+      const std::vector<VertexId>& parent = latest[set.size() - 1];
+      if (set.size() > 2) {
+        EXPECT_TRUE(parent.size() + 1 == set.size() &&
+                    std::includes(set.begin(), set.end(), parent.begin(),
+                                  parent.end()));
+      }
+      latest[set.size()] = set;
+    }
+  }
+}
+
+std::vector<SetSequence> PairSetsBySize(const GraphIndex& index, VertexId u,
+                                        VertexId v) {
+  std::vector<SetSequence> by_size(7);
+  for (size_t s = 2; s <= 6 && s <= index.num_vertices(); ++s) {
+    std::vector<PairSubgraph> subgraphs;
+    EnumeratePairSubgraphs(index, u, v, s, &subgraphs);
+    for (PairSubgraph& ps : subgraphs) by_size[s].push_back(ps.verts);
+  }
+  return by_size;
+}
+
 void ExpectSameSequence(const std::vector<PairSubgraph>& expected,
                         const std::vector<PairSubgraph>& actual) {
   ASSERT_EQ(actual.size(), expected.size());
@@ -154,6 +228,13 @@ TEST(PairKernelDifferentialTest, MatchesCopyingWalkSequenceExactly) {
       for (const size_t dense_limit :
            {GraphIndex::kDenseVertexLimit, size_t{0}}) {
         const GraphIndex index(g, dense_limit);
+        {
+          SCOPED_TRACE(testing::Message()
+                       << "trial " << trial << " edge {" << u << "," << v
+                       << "} dense_limit=" << dense_limit);
+          ExpectPrefixPairWalkMatches(index, u, v,
+                                      PairSetsBySize(index, u, v));
+        }
         for (size_t k = 2; k <= GraphIndex::kMaxInducedBitsVertices &&
                            k <= g.num_vertices();
              ++k) {
@@ -172,6 +253,31 @@ TEST(PairKernelDifferentialTest, MatchesCopyingWalkSequenceExactly) {
     }
   }
   EXPECT_GT(compared_sets, 10000u);  // the battery is not vacuous
+}
+
+TEST(PairKernelDifferentialTest, PrefixWalkOnGraphsSmallerThanItsDepth) {
+  // Cliques and paths on 2..5 vertices: depths up to n interleave the pair
+  // walks, deeper ones emit nothing.
+  for (size_t n = 2; n <= 5; ++n) {
+    for (const bool clique : {true, false}) {
+      GraphBuilder b(n);
+      for (VertexId x = 0; x < n; ++x) {
+        for (VertexId y = x + 1; y < n; ++y) {
+          if (clique || y == x + 1) {
+            ASSERT_TRUE(b.AddEdge(x, y).ok());
+          }
+        }
+      }
+      const Graph g = b.Build();
+      for (const size_t dense_limit :
+           {GraphIndex::kDenseVertexLimit, size_t{0}}) {
+        const GraphIndex index(g, dense_limit);
+        SCOPED_TRACE(testing::Message() << "n=" << n << " clique=" << clique
+                                        << " dense_limit=" << dense_limit);
+        ExpectPrefixPairWalkMatches(index, 0, 1, PairSetsBySize(index, 0, 1));
+      }
+    }
+  }
 }
 
 TEST(PairKernelDifferentialTest, PackedAndUnpackedShapesAgree) {

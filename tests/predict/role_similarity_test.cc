@@ -12,7 +12,9 @@ Graph RandomGraph(size_t n, double p, uint64_t seed) {
   GraphBuilder builder(n);
   for (VertexId a = 0; a < n; ++a) {
     for (VertexId b = a + 1; b < n; ++b) {
-      if (rng.Bernoulli(p)) EXPECT_TRUE(builder.AddEdge(a, b).ok());
+      if (rng.Bernoulli(p)) {
+        EXPECT_TRUE(builder.AddEdge(a, b).ok());
+      }
     }
   }
   return builder.Build();

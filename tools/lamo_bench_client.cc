@@ -1,6 +1,6 @@
 // lamo_bench_client — load generator and one-shot client for `lamo serve`.
 //
-//   lamo_bench_client --port 7471 --connections 4 --requests 200 \
+//   lamo_bench_client --port 7471 --connections 4 --requests 200
 //       --out BENCH_serve.json
 //   lamo_bench_client --port 7471 --query "PREDICT 42 3"
 //
